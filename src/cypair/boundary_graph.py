@@ -66,7 +66,6 @@ class CurveVertex:
     self_int: Fraction
     coeff: Fraction
     nodes: int = 0
-    rational: bool = True
 
     def __post_init__(self):
         if self.coeff > 1:
@@ -110,7 +109,6 @@ class BoundaryGraph:
     edges: tuple[Edge, ...]
     marked_points: tuple[MarkedPoint, ...] = ()
     picard_rank: int = 1
-    dim: int = 2
 
     @staticmethod
     def build(vertices, edges=(), marked_points=(), rho: int = 1) -> "BoundaryGraph":
@@ -210,8 +208,6 @@ def validate_cy(g: BoundaryGraph) -> list[tuple[str, Fraction]]:
     coeff = {v.id: v.coeff for v in g.vertices}
     out = []
     for v in g.vertices:
-        if not v.rational:
-            raise InvalidGraph(f"adjunction residuals assume rational curves; {v.id} is not")
         r = Fraction(2 * v.nodes - 2) - v.self_int + v.coeff * v.self_int
         for e in g.edges_at(v.id):
             r += coeff[e.other(v.id)] * e.multiplicity
@@ -227,8 +223,8 @@ def is_calabi_yau(g: BoundaryGraph) -> bool:
 
 
 def complexity(g: BoundaryGraph) -> Fraction:
-    """dim + Picard rank - sum of boundary coefficients."""
-    return Fraction(g.dim + g.picard_rank) - sum((v.coeff for v in g.vertices), Fraction(0))
+    """Dimension (2) + Picard rank - sum of boundary coefficients."""
+    return Fraction(2 + g.picard_rank) - sum((v.coeff for v in g.vertices), Fraction(0))
 
 
 def coregularity(g: BoundaryGraph) -> int:
@@ -435,26 +431,11 @@ def resolve_An_at_node(B_sq, n: int, base_rank: int = 1) -> BoundaryGraph:
 
 
 @dataclass(frozen=True)
-class SingularityMark:
-    """An A_k point left by contracting a chain of k (-2)-curves.
-
-    ``incidence`` maps each surviving curve id to its intersection vector
-    against the contracted chain, listed from one end to the other.
-    """
-
-    k: int
-    incidence: tuple[tuple[str, tuple[int, ...]], ...] = ()
-
-
-@dataclass(frozen=True)
 class ChainContraction:
-    singular: BoundaryGraph
-    marks: tuple[SingularityMark, ...]
-    resolved: BoundaryGraph
+    """The singular model, and the rank k of each A_k point it gained, sorted."""
 
-    @property
-    def mark_ranks(self) -> list[int]:
-        return sorted(m.k for m in self.marks)
+    singular: BoundaryGraph
+    mark_ranks: list[int]
 
 
 def _minus2_components(g: BoundaryGraph) -> list[list[str]]:
@@ -520,9 +501,9 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
     (-2)-vertices is taken.  The returned singular model keeps the
     surviving curves with their self-intersections corrected by the
     rational pull-back contribution of each chain (so they may become
-    non-integral); intersections among survivors at the new singular
-    points are recorded on the marks, not as edges.  The resolved graph is
-    returned alongside and stays the source of truth.
+    non-integral) and the edges among them; where two survivors meet at a
+    new singular point, that intersection is not recorded.  Each contracted
+    chain of k curves leaves one A_k point, listed in ``mark_ranks``.
     """
     if chains is None:
         chains = _minus2_components(g)
@@ -535,17 +516,14 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
         if removed & set(chain):
             raise NotMinusTwoChain("chains overlap")
         removed |= set(chain)
-    marks = []
     sq_gain = {v.id: Fraction(0) for v in g.vertices}
     for chain in chains:
         k = len(chain)
-        incidence = []
         for v in g.vertices:
             if v.id in removed:
                 continue
             vec = tuple(g.intersection(v.id, c) for c in chain)
             if any(vec):
-                incidence.append((v.id, vec))
                 # rational self-intersection correction from the pull-back:
                 # vec . M^{-1} . vec with M^{-1}_{ij} = min(i,j)(k+1-max(i,j))/(k+1)
                 # in 1-based chain coordinates
@@ -558,7 +536,6 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
                             * Fraction((min(i, j) + 1) * (k - max(i, j)), k + 1)
                         )
                 sq_gain[v.id] += gain
-        marks.append(SingularityMark(k, tuple(sorted(incidence))))
     vs = [
         replace(v, self_int=v.self_int + sq_gain[v.id])
         for v in g.vertices
@@ -567,7 +544,7 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
     es = [e for e in g.edges if e.a not in removed and e.b not in removed]
     mps = [p for p in g.marked_points if not (set(p.branches) & removed)]
     singular = BoundaryGraph.build(vs, es, mps, g.picard_rank - len(removed))
-    return ChainContraction(singular, tuple(marks), g)
+    return ChainContraction(singular, sorted(len(chain) for chain in chains))
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -77,26 +77,23 @@ def _read_spec(text: str):
         raise CliInputError(f"cannot read spec {text!r}: {exc}") from exc
 
 
-def _as_graph(spec) -> bgm.BoundaryGraph:
-    if isinstance(spec, bgm.BoundaryGraph):
+def _read_value(text: str, cls, from_json, error):
+    """Resolve a SPEC argument to a ``cls`` value.
+
+    A fixture of that type is returned as is; anything else goes through
+    ``from_json``, whose ``error`` becomes an input error.
+    """
+    spec = _read_spec(text)
+    if isinstance(spec, cls):
         return spec
-    return bgm.graph_from_json(spec)
-
-
-def _as_fiber(spec) -> fc.FiberSpec:
-    if isinstance(spec, fc.FiberSpec):
-        return spec
-    return fc.fiber_from_json(spec)
-
-
-def _as_fan(spec) -> lf.Fan2:
-    if isinstance(spec, lf.Fan2):
-        return spec
-    return lf.fan_from_json(spec)
+    try:
+        return from_json(spec)
+    except error as exc:
+        raise CliInputError(str(exc)) from exc
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         lines = []
         for key in sorted(payload):
             value = payload[key]
@@ -106,15 +103,11 @@ def _emit(payload, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
-def _emit_text(text: str, args) -> None:
-    if getattr(args, "out", None):
+def _write(text: str, args) -> None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -178,11 +171,7 @@ def _cmd_decide_pair(args) -> int:
 
 
 def _cmd_check_fiber(args) -> int:
-    data = _read_spec(args.spec)
-    try:
-        fiber = _as_fiber(data)
-    except fc.FiberError as exc:
-        raise CliInputError(str(exc)) from exc
+    fiber = _read_value(args.spec, fc.FiberSpec, fc.fiber_from_json, fc.FiberError)
     if args.rank is not None and args.rank != fiber.rel_picard_rank:
         raise CliInputError(
             f"--rank {args.rank} disagrees with the spec's rank {fiber.rel_picard_rank}"
@@ -226,10 +215,7 @@ def _apply_script(g: bgm.BoundaryGraph, script) -> bgm.BoundaryGraph:
 
 
 def _cmd_graph(args) -> int:
-    try:
-        g = _as_graph(_read_spec(args.spec))
-    except bgm.GraphError as exc:
-        raise CliInputError(str(exc)) from exc
+    g = _read_value(args.spec, bgm.BoundaryGraph, bgm.graph_from_json, bgm.GraphError)
     if args.apply:
         g = _apply_script(g, json.loads(args.apply))
     op = "dot" if args.format == "dot" else args.op
@@ -274,7 +260,7 @@ def _cmd_graph(args) -> int:
                 args,
             )
     elif op == "dot":
-        _emit_text(emit_dot(g), args)
+        _write(emit_dot(g), args)
     else:
         _emit({"graph": bgm.graph_to_json(g)}, args)
     return 0
@@ -295,10 +281,7 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
 
 
 def _cmd_fan(args) -> int:
-    try:
-        fan = _as_fan(_read_spec(args.spec))
-    except lf.FanError as exc:
-        raise CliInputError(str(exc)) from exc
+    fan = _read_value(args.spec, lf.Fan2, lf.fan_from_json, lf.FanError)
     op = args.op
     if op == "validate":
         _emit({"rays": lf.fan_to_json(fan)}, args)
@@ -360,7 +343,7 @@ def _cmd_fixture(args) -> int:
         raise CliInputError(f"UnknownFixture: {exc}") from exc
     if isinstance(obj, bgm.BoundaryGraph):
         if args.format == "dot":
-            _emit_text(emit_dot(obj), args)
+            _write(emit_dot(obj), args)
         else:
             _emit({"kind": "graph", "graph": bgm.graph_to_json(obj)}, args)
     elif isinstance(obj, fc.FiberSpec):
@@ -382,21 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="cluster-type verdict for a singularity string")
     c.add_argument("singularities", help='e.g. "A1+A2+A5", "4A2", "smooth"')
-    c.add_argument("--format", choices=("json", "text"), default="json")
-    c.add_argument("--out")
     c.set_defaults(func=_cmd_classify)
 
     d = sub.add_parser("decide-pair", help="five-case decision for a pair spec")
     d.add_argument("spec", help="JSON file, inline JSON, '-' or fixture:NAME")
-    d.add_argument("--format", choices=("json", "text"), default="json")
-    d.add_argument("--out")
     d.set_defaults(func=_cmd_decide_pair)
 
     f = sub.add_parser("check-fiber", help="standard-model fiber criteria")
     f.add_argument("spec", help="fiber JSON file, inline JSON, '-' or fixture:NAME")
     f.add_argument("--rank", type=int, choices=(1, 2))
-    f.add_argument("--format", choices=("json", "text"), default="json")
-    f.add_argument("--out")
     f.set_defaults(func=_cmd_check_fiber)
 
     g = sub.add_parser("graph", help="dual-graph operations")
@@ -405,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--apply", help="JSON array of blow-up/blow-down steps")
     g.add_argument("--depth", type=int, default=3, help="witness search depth cap")
     g.add_argument("--cap", type=int, default=6, help="witness divisor coefficient cap")
-    g.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    g.add_argument("--out")
     g.set_defaults(func=_cmd_graph)
 
     n = sub.add_parser("fan", help="complete-fan operations")
@@ -414,22 +389,20 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("--op", choices=_FAN_OPS, default="validate")
     n.add_argument("--ray", help="x,y for subdivide")
     n.add_argument("--form", help="a,b for project / prepare-projection")
-    n.add_argument("--format", choices=("json", "text"), default="json")
-    n.add_argument("--out")
     n.set_defaults(func=_cmd_fan)
 
     t = sub.add_parser("catalog", help="list the sixteen rank-one A-type families")
-    t.add_argument("--format", choices=("json", "text"), default="json")
-    t.add_argument("--out")
     t.set_defaults(func=_cmd_catalog)
 
     x = sub.add_parser("fixture", help="dump a bundled fixture")
     x.add_argument("name", nargs="?")
     x.add_argument("--list", action="store_true")
-    x.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    x.add_argument("--out")
     x.set_defaults(func=_cmd_fixture)
 
+    for name, parser in sub.choices.items():
+        formats = ("json", "dot", "text") if name in ("graph", "fixture") else ("json", "text")
+        parser.add_argument("--format", choices=formats, default="json")
+        parser.add_argument("--out")
     return p
 
 

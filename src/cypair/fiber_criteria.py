@@ -234,17 +234,9 @@ class Witness:
     node: tuple
 
 
-def _blowup_targets(g: bg.BoundaryGraph) -> list[tuple]:
-    targets: list[tuple] = []
-    for e in g.edges:
-        targets.append(("edge", e.a, e.b))
-    for v in g.vertices:
-        if v.nodes >= 1:
-            targets.append(("node", v.id))
-    return sorted(targets)
-
-
 def _boundary_nodes(g: bg.BoundaryGraph) -> list[tuple]:
+    """Intersection points and self-nodes of the boundary, sorted: the
+    corner blow-up targets."""
     nodes: list[tuple] = []
     for e in g.edges:
         nodes.append(("edge", e.a, e.b))
@@ -256,6 +248,7 @@ def _boundary_nodes(g: bg.BoundaryGraph) -> list[tuple]:
 
 def _divisor_witness(g: bg.BoundaryGraph, support_ids: list[str], cap: int):
     present = [i for i in support_ids if g.has_vertex(i)]
+    nodes = _boundary_nodes(g)
     for mults in product(range(cap + 1), repeat=len(present)):
         if not any(mults):
             continue
@@ -268,7 +261,7 @@ def _divisor_witness(g: bg.BoundaryGraph, support_ids: list[str], cap: int):
                 sq += 2 * m[a] * m[b] * g.intersection(a, b)
         if sq < 0:
             continue
-        for node in _boundary_nodes(g):
+        for node in nodes:
             if node[0] == "edge":
                 _, a, b = node
                 if m.get(a, 0) == 0 and m.get(b, 0) == 0:
@@ -293,8 +286,12 @@ def prop51_witness_search(
     in this deterministic order, or None.
 
     The fiber must be an index-one Calabi-Yau boundary graph: every
-    coefficient one and every adjunction residual zero.
+    coefficient one and every adjunction residual zero.  ``max_blowups``
+    must be at least 0 and ``coeff_cap`` at least 1; anything less would
+    search nothing and report a false "no witness".
     """
+    if max_blowups < 0 or coeff_cap < 1:
+        raise PreconditionFailed("witness search needs max_blowups >= 0 and coeff_cap >= 1")
     if any(v.coeff != 1 for v in fiber.vertices):
         raise PreconditionFailed("witness search needs all boundary coefficients equal to 1")
     if not bg.is_calabi_yau(fiber):
@@ -311,7 +308,7 @@ def prop51_witness_search(
             break
         nxt = []
         for g, script in frontier:
-            for target in _blowup_targets(g):
+            for target in _boundary_nodes(g):
                 if target[0] == "edge":
                     g2 = bg.blowup_corner(g, edge=(target[1], target[2]))
                 else:

@@ -35,10 +35,6 @@ class InconsistentSpec(AtlasError):
     pass
 
 
-class NotAType(AtlasError):
-    """Reserved: decide_pair reports non-A-type input in the verdict instead."""
-
-
 @dataclass(frozen=True, order=True)
 class SingularityLabel:
     """A du Val singularity type A_n, D_n or E_n."""
@@ -271,7 +267,6 @@ class GdpFamily:
     toric: bool
     cluster_type: bool
     resolution_graph: bg.BoundaryGraph | None = None
-    source_figure: str | None = None
 
     def __post_init__(self):
         if self.volume != volume_of(self.singularities):
@@ -284,7 +279,7 @@ class GdpFamily:
         return format_singularities(self.singularities)
 
 
-def _family(sings: str, toric: bool, fixture: str | None = None, fig: str | None = None):
+def _family(sings: str, toric: bool, fixture: str | None = None):
     labels = parse_singularities(sings)
     graph = fixtures.load_fixture(fixture) if fixture else None
     return GdpFamily(
@@ -293,8 +288,31 @@ def _family(sings: str, toric: bool, fixture: str | None = None, fig: str | None
         toric=toric,
         cluster_type=classify_surface(labels).cluster_type,
         resolution_graph=graph,
-        source_figure=fig,
     )
+
+
+_CATALOG = (
+    # toric families
+    _family("smooth", True),
+    _family("A1", True),
+    _family("A1+A2", True),
+    _family("2A1+A3", True),
+    _family("3A2", True),
+    # volume at least two
+    _family("A4", False),
+    _family("A7", False, "fig5.A7.before"),
+    _family("A1+A5", False),
+    _family("A2+A5", False),
+    _family("A1+2A3", False),
+    # volume one, at most three singular points
+    _family("A8", False, "fig6.A8.before"),
+    _family("A1+A7", False, "fig7.A1A7.before"),
+    _family("2A4", False, "fig8.2A4.before"),
+    _family("A1+A2+A5", False, "fig9.A1A2A5"),
+    # volume one, four singular points
+    _family("2A1+2A3", False),
+    _family("4A2", False),
+)
 
 
 def catalog() -> tuple[GdpFamily, ...]:
@@ -304,28 +322,7 @@ def catalog() -> tuple[GdpFamily, ...]:
     with at most three singular points, and the final two volume-one
     four-point families are the non-cluster-type ones.
     """
-    return (
-        # toric families
-        _family("smooth", True),
-        _family("A1", True),
-        _family("A1+A2", True),
-        _family("2A1+A3", True),
-        _family("3A2", True),
-        # volume at least two
-        _family("A4", False),
-        _family("A7", False, "fig5.A7.before", "fig5"),
-        _family("A1+A5", False),
-        _family("A2+A5", False),
-        _family("A1+2A3", False),
-        # volume one, at most three singular points
-        _family("A8", False, "fig6.A8.before", "fig6"),
-        _family("A1+A7", False, "fig7.A1A7.before", "fig7"),
-        _family("2A4", False, "fig8.2A4.before", "fig8"),
-        _family("A1+A2+A5", False, "fig9.A1A2A5", "fig9"),
-        # volume one, four singular points
-        _family("2A1+2A3", False),
-        _family("4A2", False),
-    )
+    return _CATALOG
 
 
 def family_by_name(name: str) -> GdpFamily:

@@ -2,15 +2,19 @@
 
 Random smooth fans are grown from the plane or product seed by repeated
 star subdivisions at sums of adjacent rays, which keeps them smooth and
-complete.  Random balanced dual graphs start from a seed whose residuals
-vanish by construction and grow by crepant blow-ups, which preserve the
-balance exactly.
+complete.  Random singular fans take random primitive rays in
+counterclockwise order.  Random balanced dual graphs start from a seed
+whose residuals vanish by construction and grow by crepant blow-ups, which
+preserve the balance exactly.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations
+from math import gcd
 
 from cypair import boundary_graph as bg
 from cypair import lattice_fan as lf
@@ -33,6 +37,34 @@ def random_smooth_fan(rng: random.Random, max_subdivisions: int = 6) -> lf.Fan2:
         u, v = rays[i], rays[(i + 1) % len(rays)]
         fan = lf.star_subdivide(fan, (u.x + v.x, u.y + v.y))
     return fan
+
+
+def _half_plane(r) -> int:
+    # 0 for angles in [0, pi), 1 for [pi, 2*pi)
+    return 0 if r[1] > 0 or (r[1] == 0 and r[0] > 0) else 1
+
+
+def _ccw_order(u, v) -> int:
+    if _half_plane(u) != _half_plane(v):
+        return _half_plane(u) - _half_plane(v)
+    return v[0] * u[1] - v[1] * u[0]  # negative when v lies counterclockwise of u
+
+
+def random_singular_fan(rng: random.Random, max_coord: int = 6) -> lf.Fan2:
+    """A complete fan on 3-6 random primitive rays with a cone of index > 1."""
+    while True:
+        rays = set()
+        n = rng.randint(3, 6)
+        while len(rays) < n:
+            x, y = rng.randint(-max_coord, max_coord), rng.randint(-max_coord, max_coord)
+            if gcd(x, y) == 1:
+                rays.add((x, y))
+        ordered = sorted(rays, key=cmp_to_key(_ccw_order))
+        dets = [
+            u[0] * v[1] - u[1] * v[0] for u, v in zip(ordered, ordered[1:] + ordered[:1])
+        ]
+        if min(dets) > 0 and max(dets) > 1:
+            return lf.make_fan(ordered)
 
 
 def _solved_sq(delta: int, coeff: Fraction, neighbor_sum: Fraction) -> Fraction:
@@ -67,6 +99,33 @@ def random_balanced_seed(rng: random.Random) -> bg.BoundaryGraph:
         ("C2", _solved_sq(d2, b2, b1 * m), b2, d2),
     ]
     return bg.BoundaryGraph.build(vs, [("C1", "C2", m)], rho=rng.randint(1, 3))
+
+
+def random_marked_seed(rng: random.Random) -> bg.BoundaryGraph:
+    """A balanced graph whose curves D0..Dk-1 (k = 3 or 4) share one marked point.
+
+    Every pair of branches meets, once at the marked point and possibly
+    elsewhere; D0 and D1 meet only there, so that corner is always
+    shielded.  Half the seeds add a curve T that meets D0 away from the
+    marked point.  Coefficients stay below one, so every self-intersection
+    can be solved for.
+    """
+    k = rng.randint(3, 4)
+    ids = [f"D{i}" for i in range(k)]
+    mult = {pair: rng.randint(1, 3) for pair in combinations(ids, 2)}
+    mult["D0", "D1"] = 1
+    if rng.randrange(2):
+        ids.append("T")
+        mult["D0", "T"] = rng.randint(1, 2)
+    coeff = {v: rng.choice(COEFFS[:-1]) for v in ids}
+    nodes = {v: rng.randrange(2) for v in ids}
+    neighbor_sum = {v: Fraction(0) for v in ids}
+    for (a, b), m in mult.items():
+        neighbor_sum[a] += coeff[b] * m
+        neighbor_sum[b] += coeff[a] * m
+    vs = [(v, _solved_sq(nodes[v], coeff[v], neighbor_sum[v]), coeff[v], nodes[v]) for v in ids]
+    es = [(a, b, m) for (a, b), m in mult.items()]
+    return bg.BoundaryGraph.build(vs, es, [ids[:k]], rho=rng.randint(2, 4))
 
 
 def random_crepant_blowup(rng: random.Random, g: bg.BoundaryGraph):

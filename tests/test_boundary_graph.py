@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
-from helpers import COEFFS, random_balanced_seed, random_crepant_blowup
+from helpers import COEFFS, random_balanced_seed, random_crepant_blowup, random_marked_seed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,12 +42,6 @@ class TestValidateCy:
     def test_unbalanced_reported(self):
         g = build([("B", 9, 1, 0)])  # smooth plane cubic is not anticanonical-balanced
         assert bg.validate_cy(g) == [("B", Fr(-2))]
-
-    def test_non_rational_curves_rejected(self):
-        v = bg.CurveVertex("G", Fr(0), Fr(1), 0, rational=False)
-        g = bg.BoundaryGraph.build([v], rho=1)
-        with pytest.raises(bg.InvalidGraph):
-            bg.validate_cy(g)
 
 
 class TestBlowupCorner:
@@ -250,7 +245,6 @@ class TestContractChains:
                 assert res.mark_ranks == [n]
                 assert res.singular.vertex("B").self_int == Fr(sq)
                 assert res.singular.picard_rank == g.picard_rank - n
-                assert res.resolved == g
 
     def test_mixed_coefficients_rejected(self):
         g = build([("A", -2, 1), ("B", -2, 0)], [("A", "B")], rho=3)
@@ -380,6 +374,36 @@ def test_crepant_blowups_preserve_balance(seed, steps):
         g, eid = random_crepant_blowup(rng, g)
         assert bg.is_calabi_yau(g)
         assert bg.blowdown(g, eid) == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 3))
+def test_marked_point_blowups_round_trip(seed, steps):
+    rng = random.Random(seed)
+    g = random_marked_seed(rng)
+    assert bg.is_calabi_yau(g)
+    for step in range(steps + 1):
+        eid = f"X{step}"
+        allowed = []
+        for e in g.edges:
+            at_marked = sum(1 for p in g.marked_points if {e.a, e.b} <= set(p.branches))
+            if e.multiplicity > at_marked:
+                allowed.append(bg.blowup_corner(g, edge=(e.a, e.b), new_id=eid))
+            else:
+                with pytest.raises(bg.NoSuchIntersection):
+                    bg.blowup_corner(g, edge=(e.a, e.b), new_id=eid)
+        allowed += [bg.blowup_corner(g, node=v.id, new_id=eid) for v in g.vertices if v.nodes]
+        allowed += [bg.blowup_interior(g, v.id, new_id=eid) for v in g.vertices]
+        for up in allowed:
+            assert up.marked_points == g.marked_points
+            assert bg.is_calabi_yau(up)
+            assert bg.blowdown(up, eid) == g
+        g = rng.choice(allowed)
+    # a smooth (-1)-curve through a marked point still cannot be contracted
+    branch = rng.choice(g.marked_points[0].branches)
+    vs = [replace(v, self_int=Fr(-1), nodes=0) if v.id == branch else v for v in g.vertices]
+    with pytest.raises(bg.InvalidGraph):
+        bg.blowdown(build(vs, g.edges, g.marked_points, g.picard_rank), branch)
 
 
 @settings(max_examples=40, deadline=None)

@@ -117,6 +117,12 @@ class TestGraphCommand:
         data = invoke_json(capsys, "graph", "fixture:ex62.graph", "--op", "witness")
         assert data == {"witness": None}
 
+    def test_empty_witness_search_exits_3(self, capsys):
+        for flags in (("--depth", "-1"), ("--cap", "0")):
+            code, out, err = invoke(capsys, "graph", "fixture:p2.triangle", "--op", "witness", *flags)
+            assert (code, out) == (3, "")
+            assert "PreconditionFailed" in err
+
     def test_blowdown_error_exits_3(self, capsys):
         script = json.dumps([{"op": "blowdown", "vertex": "L1"}])
         code, _, err = invoke(capsys, "graph", "fixture:p2.triangle", "--apply", script)
@@ -220,6 +226,10 @@ class TestFixtureShapes:
                 e.multiplicity for e in g.edges_at(v.id) if e.other(v.id) in ids
             )
             assert deg == 2
+
+    def test_every_fixture_is_built_once(self):
+        for name in fixtures.fixture_names():
+            assert fixtures.load_fixture(name) is fixtures.load_fixture(name)
 
     def test_ex62_fiber_volume_is_recorded(self):
         f = fixtures.load_fixture("ex62.pic1")

@@ -160,6 +160,15 @@ class TestWitnessSearch:
         w = fc.prop51_witness_search(fixtures.load_fixture("p2.triangle"), max_blowups=0)
         assert w is not None and w.script == ()
 
+    def test_empty_search_bounds_rejected(self):
+        # the triangle has a depth-0 witness with multiplicities up to 1, so
+        # a search bounded below that would report a false "no witness"
+        g = fixtures.load_fixture("p2.triangle")
+        assert fc.prop51_witness_search(g, max_blowups=0, coeff_cap=1) is not None
+        for depth, cap in ((-1, 6), (0, 0), (3, -2)):
+            with pytest.raises(fc.PreconditionFailed):
+                fc.prop51_witness_search(g, max_blowups=depth, coeff_cap=cap)
+
     def test_depth_zero_needs_an_outside_node(self):
         # positive component with every node on it: no immediate witness
         g = fixtures.load_fixture("ex63.graph")

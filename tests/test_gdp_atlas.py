@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cypair import boundary_graph as bg
+from cypair import fixtures
 from cypair import gdp_atlas as atlas
 from cypair.gdp_atlas import MultiComponent, NodalAtA, NodalSmoothLocus, PairSpec
 
@@ -142,6 +143,10 @@ class TestCatalog:
             assert 10 - g.picard_rank == fam.volume
             marks = bg.contract_minus2_chains(g).mark_ranks
             assert sorted(marks) == sorted(s.rank for s in fam.singularities)
+
+    def test_catalog_is_built_once(self):
+        assert atlas.catalog() is atlas.catalog()
+        assert atlas.family_by_name("A7").resolution_graph is fixtures.load_fixture("fig5.A7.before")
 
     def test_family_lookup(self):
         assert atlas.family_by_name("A7").volume == 2

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_smooth_fan
+from helpers import random_singular_fan, random_smooth_fan
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cypair import lattice_fan as lf
 
@@ -211,6 +213,48 @@ class TestResolve:
         for ray in resolved.rays:
             if ray not in singular.rays:
                 assert cs[ray] <= -2
+
+
+def negative_continued_fraction(bs) -> Fraction:
+    """b1 - 1/(b2 - 1/(... - 1/b_r))."""
+    value = Fraction(bs[-1])
+    for b in reversed(bs[:-1]):
+        value = b - 1 / value
+    return value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_resolve_random_singular_fans(seed):
+    fan = random_singular_fan(random.Random(seed))
+    resolved = lf.resolve(fan)
+    assert lf.is_smooth(resolved)
+    assert lf.resolve(resolved) == resolved
+    assert set(fan.rays) <= set(resolved.rays)
+    sq = dict(zip(resolved.rays, lf.self_intersections(resolved)))
+    n, m = len(fan.rays), len(resolved.rays)
+    for i, u in enumerate(fan.rays):
+        v = fan.rays[(i + 1) % n]
+        inserted = []
+        j = (resolved.index_of(u) + 1) % m
+        while resolved.rays[j] != v:
+            inserted.append(resolved.rays[j])
+            j = (j + 1) % m
+        assert all(sq[r] <= -2 for r in inserted)
+        d = lf.det(u, v)
+        if d == 1:
+            assert inserted == []
+            continue
+        # (u, w) is a lattice basis; in it the cone is of type (1/d)(1, q).
+        # Ray coordinates are at most 6 in size, and so is some such w.
+        w = next(
+            lf.RayVector(a, b)
+            for a in range(-6, 7)
+            for b in range(-6, 7)
+            if u.x * b - u.y * a == 1
+        )
+        q = lf.det(w, v) % d
+        assert negative_continued_fraction([-sq[r] for r in inserted]) == Fraction(d, q)
 
 
 class TestNoetherSum:
