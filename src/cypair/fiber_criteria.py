@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import lcm
 
 from . import boundary_graph as bg
 from .rationals import as_rational, rational_to_json
@@ -246,30 +246,119 @@ def _boundary_nodes(g: bg.BoundaryGraph) -> list[tuple]:
     return sorted(nodes)
 
 
-def _divisor_witness(g: bg.BoundaryGraph, support_ids: list[str], cap: int):
-    present = [i for i in support_ids if g.has_vertex(i)]
+def _negative_definite(gram: list[list[int]]) -> bool:
+    """Whether a symmetric integer matrix is negative definite.
+
+    Sylvester's criterion: the k-th leading principal minor must have the
+    sign of (-1)^k.  The minors are the pivots of Bareiss's fraction-free
+    elimination (Bareiss 1968), in which every division is exact, so the
+    test never leaves the integers.  A zero minor means the matrix is not
+    definite, and the elimination stops there.  The 0x0 matrix is
+    (vacuously) definite.
+    """
+    a = [list(row) for row in gram]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        minor = a[k][k]
+        if minor == 0 or (minor > 0) != (k % 2 == 1):
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * minor - a[i][k] * a[k][j]) // prev
+        prev = minor
+    return True
+
+
+def _first_divisor(gram: list[list[int]], allowed, cap: int) -> list[int] | None:
+    """The first nonzero m in ``product(range(cap + 1), repeat=n)`` order
+    whose support bitmask passes ``allowed`` and with m^T gram m >= 0.
+
+    The walk is depth first over the coordinates, which is product's
+    order, and carries the quadratic form of the fixed prefix along.
+    Supports only grow as coordinates are fixed and ``allowed`` is closed
+    under subsets, so a prefix whose support fails it is skipped whole.
+    """
+    n = len(gram)
+    m = [0] * n
+
+    def extend(i: int, support: int, q: int) -> bool:
+        row = gram[i]
+        cross = 2 * sum(row[j] * m[j] for j in range(i))
+        for x in range(cap + 1):
+            if x == 1:
+                support |= 1 << i
+                if not allowed(support):
+                    break
+            m[i] = x
+            qx = q + x * (row[i] * x + cross)
+            if i + 1 < n:
+                if extend(i + 1, support, qx):
+                    return True
+            elif support and qx >= 0:
+                return True
+        m[i] = 0
+        return False
+
+    return m if n and extend(0, 0, 0) else None
+
+
+def _divisor_witness(g: bg.BoundaryGraph, index: dict, cap: int):
+    """The first (divisor, node) of graph ``g`` in the scan order, or None.
+
+    Multiplicities range over the original components, the keys of
+    ``index`` in the fiber's order; the form is the Gram matrix of their
+    strict transforms scaled by the common denominator of the
+    self-intersections, which keeps its sign exact.
+    A boundary node is missed by a divisor when none of its original
+    components is in the support; the first missed node in sorted order
+    is memoized per support.
+    """
+    by_id = {v.id: v for v in g.vertices}
+    sqs = [by_id[vid].self_int for vid in index]
+    scale = lcm(*(s.denominator for s in sqs))
+    gram = [[0] * len(sqs) for _ in sqs]
+    for i, s in enumerate(sqs):
+        gram[i][i] = s.numerator * (scale // s.denominator)
+    for e in g.edges:
+        if e.a in index and e.b in index:
+            i, j = index[e.a], index[e.b]
+            gram[i][j] = gram[j][i] = scale * e.multiplicity
+    if _negative_definite(gram):
+        return None
     nodes = _boundary_nodes(g)
-    for mults in product(range(cap + 1), repeat=len(present)):
-        if not any(mults):
-            continue
-        m = dict(zip(present, mults))
-        sq = Fraction(0)
-        for vid, mv in m.items():
-            sq += mv * mv * g.vertex(vid).self_int
-        for i, a in enumerate(present):
-            for b in present[i + 1 :]:
-                sq += 2 * m[a] * m[b] * g.intersection(a, b)
-        if sq < 0:
-            continue
-        for node in nodes:
-            if node[0] == "edge":
-                _, a, b = node
-                if m.get(a, 0) == 0 and m.get(b, 0) == 0:
-                    return m, node
-            else:
-                if m.get(node[1], 0) == 0:
-                    return m, node
-    return None
+    masks = [sum(1 << index[vid] for vid in node[1:] if vid in index) for node in nodes]
+    first: dict[int, tuple | None] = {}
+
+    def first_node(support: int):
+        if support not in first:
+            first[support] = next(
+                (node for node, mask in zip(nodes, masks) if not mask & support), None
+            )
+        return first[support]
+
+    m = _first_divisor(gram, lambda support: first_node(support) is not None, cap)
+    if m is None:
+        return None
+    support = sum(1 << i for i, x in enumerate(m) if x)
+    return dict(zip(index, m)), first_node(support)
+
+
+def _search_key(g: bg.BoundaryGraph, index: dict) -> tuple:
+    """What the witness search reads of a blow-up of the fiber.
+
+    The self-intersection and node count of each original component, in
+    the fiber's order, and the sorted multiset of edges as (i, j,
+    multiplicity) with i <= j the original indices and -1 for an
+    exceptional curve.
+    """
+    by_id = {v.id: v for v in g.vertices}
+    originals = tuple((by_id[vid].self_int, by_id[vid].nodes) for vid in index)
+    edges = []
+    for e in g.edges:
+        i, j = index.get(e.a, -1), index.get(e.b, -1)
+        edges.append((min(i, j), max(i, j), e.multiplicity))
+    return originals, tuple(sorted(edges))
 
 
 def prop51_witness_search(
@@ -281,9 +370,31 @@ def prop51_witness_search(
     ``max_blowups`` (at boundary nodes and intersection points, in sorted
     order); on each resulting graph, effective divisors supported on the
     strict transforms of the original components with multiplicities up to
-    ``coeff_cap`` are scanned for nonnegative self-intersection together
-    with a boundary node outside their support.  Returns the first witness
-    in this deterministic order, or None.
+    ``coeff_cap`` are scanned, in ``product(range(coeff_cap + 1), ...)``
+    order, for nonnegative self-intersection together with a boundary node
+    outside their support.  Returns the first witness in this
+    deterministic order, or None.
+
+    Three prunings leave that first witness unchanged:
+
+    - The scan is over the integers: the Gram matrix of the original
+      components is scaled by the common denominator of their
+      self-intersections, which keeps the sign of every value.  A prefix
+      whose support already meets every boundary node is skipped whole,
+      before any form is evaluated.
+    - A graph is dropped from the frontier when its ``_search_key`` was
+      already seen, at this depth or an earlier one.  The key fixes the
+      Gram matrix and which original components pass through each
+      boundary node, so it fixes the scan's outcome.  It also fixes the
+      multiset of the keys of the graph's children, because exceptional
+      curves never carry nodes and marked points (which can refuse a
+      corner blow-up) name only original components.  So every subtree
+      that is dropped is mirrored by one that was kept and comes earlier
+      in the breadth-first order; the kept graphs are a subsequence of
+      that order, and the first graph with a witness, or the first
+      refused blow-up, is the same graph with the same script.
+    - A graph whose Gram matrix is negative definite is not scanned:
+      there every nonzero divisor has negative self-intersection.
 
     The fiber must be an index-one Calabi-Yau boundary graph: every
     coefficient one and every adjunction residual zero.  ``max_blowups``
@@ -296,11 +407,12 @@ def prop51_witness_search(
         raise PreconditionFailed("witness search needs all boundary coefficients equal to 1")
     if not bg.is_calabi_yau(fiber):
         raise PreconditionFailed("witness search needs a Calabi-Yau balanced graph")
-    original = fiber.ids()
+    index = {vid: i for i, vid in enumerate(fiber.ids())}
+    seen = {_search_key(fiber, index)}
     frontier: list[tuple[bg.BoundaryGraph, tuple]] = [(fiber, ())]
     for depth in range(max_blowups + 1):
         for g, script in frontier:
-            found = _divisor_witness(g, original, coeff_cap)
+            found = _divisor_witness(g, index, coeff_cap)
             if found:
                 m, node = found
                 return Witness(script, m, node)
@@ -313,7 +425,10 @@ def prop51_witness_search(
                     g2 = bg.blowup_corner(g, edge=(target[1], target[2]))
                 else:
                     g2 = bg.blowup_corner(g, node=target[1])
-                nxt.append((g2, script + (target,)))
+                key = _search_key(g2, index)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((g2, script + (target,)))
         frontier = nxt
     return None
 

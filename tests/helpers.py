@@ -145,3 +145,47 @@ def random_crepant_blowup(rng: random.Random, g: bg.BoundaryGraph):
     if kind == "node":
         return bg.blowup_corner(g, node=tgt, new_id=eid), eid
     return bg.blowup_interior(g, tgt, new_id=eid), eid
+
+
+WITNESS_SQS = tuple(range(-4, 9)) + (
+    Fraction(7, 2), Fraction(-5, 2), Fraction(1, 3), Fraction(-4, 3)
+)
+
+
+def random_witness_fiber(rng: random.Random) -> bg.BoundaryGraph:
+    """An index-one Calabi-Yau graph for the witness search.
+
+    A nodal curve, two curves meeting twice, or a cycle of 3 or 4 curves
+    (a quarter of the cycles with a marked point on three consecutive
+    curves, which shields their corners), then scrambled by 0-2 random
+    corner blow-ups.  Self-intersections are drawn from ``WITNESS_SQS``,
+    for half the graphs from its nonpositive part, where witnesses are
+    rare and the search runs to its depth.  With every coefficient one,
+    any self-intersections balance.
+    """
+    sqs = WITNESS_SQS if rng.randrange(2) else [s for s in WITNESS_SQS if s <= 0]
+    shape = rng.choice(("nodal", "pair", "cycle", "cycle"))
+    marked = []
+    if shape == "nodal":
+        vs, es = [("B", rng.choice(sqs), 1, 1)], []
+    elif shape == "pair":
+        vs = [(f"C{i}", rng.choice(sqs), 1) for i in (1, 2)]
+        es = [("C1", "C2", 2)]
+    else:
+        k = rng.randint(3, 4)
+        vs = [(f"C{i}", rng.choice(sqs), 1) for i in range(k)]
+        es = [(f"C{i}", f"C{(i + 1) % k}") for i in range(k)]
+        if rng.randrange(4) == 0:
+            marked = [("C0", "C1", "C2")]
+    g = bg.BoundaryGraph.build(vs, es, marked, rho=len(vs))
+    for _ in range(rng.randint(0, 2)):
+        targets = [(e.a, e.b) for e in g.edges] + [v.id for v in g.vertices if v.nodes]
+        target = rng.choice(targets)
+        try:
+            if isinstance(target, tuple):
+                g = bg.blowup_corner(g, edge=target)
+            else:
+                g = bg.blowup_corner(g, node=target)
+        except bg.NoSuchIntersection:
+            pass  # a shielded corner
+    return g

@@ -288,3 +288,23 @@ def test_criterion_10_two_component_infeasibility():
     )
     ok = ok and atlas.two_component_feasibility(3, 1, 5)
     _report("criterion 10: volume-one two-component inequalities", ok)
+
+
+def test_criterion_11_witness_search_budgets():
+    # stated budgets: a cycle of six (-3)-curves at depth 1 in under a
+    # second and ex62.graph at depth 5 in under 0.25 s; neither has a witness
+    k = 6
+    cycle = bg.BoundaryGraph.build(
+        [(f"C{i}", -3, 1) for i in range(k)],
+        [(f"C{i}", f"C{(i + 1) % k}") for i in range(k)],
+        rho=k,
+    )
+    t0 = time.perf_counter()
+    cycle_witness = fc.prop51_witness_search(cycle, max_blowups=1)
+    cycle_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ex62_witness = fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), max_blowups=5)
+    ex62_s = time.perf_counter() - t0
+    ok = cycle_witness is None and ex62_witness is None and cycle_s < 1.0 and ex62_s < 0.25
+    _report("criterion 11: witness searches within their time budgets", ok,
+            f"(-3)-cycle k=6 depth 1 {cycle_s * 1000:.1f} ms; ex62 depth 5 {ex62_s * 1000:.1f} ms")

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
+import reference_witness
+from helpers import random_witness_fiber
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,6 +228,115 @@ class TestWitnessSearch:
         a = fc.prop51_witness_search(fixtures.load_fixture("p2.nodal_cubic"))
         b = fc.prop51_witness_search(fixtures.load_fixture("p2.nodal_cubic"))
         assert a == b
+
+
+def _search_outcome(search, g, depth, cap):
+    """The witness with its divisor's key order, or the error raised."""
+    try:
+        w = search(g, depth, cap)
+    except Exception as exc:  # the oracle must raise the same class and message
+        return ("raised", type(exc), str(exc))
+    return ("returned", w, None if w is None else list(w.divisor))
+
+
+class TestPrunedSearchMatchesReference:
+    def test_every_graph_fixture(self):
+        for name in fixtures.fixture_names():
+            if fixtures.fixture_kind(name) != "graph":
+                continue
+            g = fixtures.load_fixture(name)
+            for depth in range(3):
+                for cap in range(1, 7):
+                    assert _search_outcome(fc.prop51_witness_search, g, depth, cap) == (
+                        _search_outcome(reference_witness.prop51_witness_search, g, depth, cap)
+                    ), (name, depth, cap)
+
+    def test_random_fibers(self):
+        # the cap is lowered until about 3000 vectors are scanned (vectors per
+        # graph times a bound on the frontier) so that the oracle's
+        # brute-force Fraction scan stays short on 4- to 6-curve graphs
+        rng = random.Random(20241218)
+        kinds = set()
+        for _ in range(120):
+            g = random_witness_fiber(rng)
+            depth, cap = rng.randint(0, 2), rng.randint(1, 6)
+            while cap > 1 and (cap + 1) ** len(g.vertices) * (len(g.edges) + 2) ** depth > 3000:
+                cap -= 1
+            got = _search_outcome(fc.prop51_witness_search, g, depth, cap)
+            want = _search_outcome(reference_witness.prop51_witness_search, g, depth, cap)
+            assert got == want, (g, depth, cap)
+            kinds.add(got[0] if got[0] == "raised" else got[1] is not None)
+        assert kinds == {"raised", True, False}
+
+    def test_non_integral_self_intersections(self):
+        for sqs in ((Fr(7, 2), -1), (Fr(-5, 2), Fr(1, 3)), (Fr(-4, 3), Fr(1, 3))):
+            g = bg.BoundaryGraph.build(
+                [("C1", sqs[0], 1), ("C2", sqs[1], 1)], [("C1", "C2", 2)], rho=2
+            )
+            for depth in range(3):
+                assert _search_outcome(fc.prop51_witness_search, g, depth, 6) == (
+                    _search_outcome(reference_witness.prop51_witness_search, g, depth, 6)
+                )
+
+    def test_empty_graph_has_no_witness(self):
+        g = bg.BoundaryGraph.build([], rho=1)
+        assert fc.prop51_witness_search(g, 2) is None
+        assert reference_witness.prop51_witness_search(g, 2) is None
+
+    def test_pruning_is_kept(self, monkeypatch):
+        # ex62.graph at depth 4: the brute-force search scans 77 graphs;
+        # deduplication leaves 26 and the negative-definite skip all but one
+        examined, scanned = [], []
+        divisor_witness, first_divisor = fc._divisor_witness, fc._first_divisor
+        monkeypatch.setattr(
+            fc, "_divisor_witness", lambda *a: examined.append(1) or divisor_witness(*a)
+        )
+        monkeypatch.setattr(
+            fc, "_first_divisor", lambda *a: scanned.append(1) or first_divisor(*a)
+        )
+        assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
+        assert (len(examined), len(scanned)) == (26, 1)
+
+
+def _negative_definite_by_fractions(a) -> bool:
+    """Gaussian elimination over Fraction without pivoting: negative
+    definite iff every pivot is negative."""
+    a = [[Fr(x) for x in row] for row in a]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] >= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+class TestNegativeDefinite:
+    def test_edge_cases(self):
+        assert fc._negative_definite([])
+        assert not fc._negative_definite([[0]])
+        assert fc._negative_definite([[-1]])
+        # the cycle of (-1, -1, -3)-curves: minors -1, 0; (1, 1, 0) has square 0
+        assert not fc._negative_definite([[-1, 1, 1], [1, -1, 1], [1, 1, -3]])
+        assert fc._negative_definite([[-3, 1, 1], [1, -3, 1], [1, 1, -3]])
+        assert not fc._negative_definite([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
+
+    def test_random_symmetric_matrices(self):
+        rng = random.Random(1968)
+        verdicts = set()
+        for _ in range(2000):
+            n = rng.randint(1, 5)
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                a[i][i] = rng.randint(-9, 2)
+                for j in range(i):
+                    a[i][j] = a[j][i] = rng.randint(-3, 3)
+            got = fc._negative_definite(a)
+            assert got == _negative_definite_by_fractions(a), a
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestJson:
