@@ -12,10 +12,11 @@ Four computation layers, all over exact rationals:
   weighted-corner obstruction arithmetic.
 
 ``fixtures`` holds the bundled worked-example corpus and ``cli`` the
-command-line front end.
+command-line front end.  ``cli`` is not imported here, so that
+``python -m cypair.cli`` runs it fresh; ``from cypair import cli`` loads it.
 """
 
-from . import boundary_graph, cli, fiber_criteria, fixtures, gdp_atlas, lattice_fan
+from . import boundary_graph, fiber_criteria, fixtures, gdp_atlas, lattice_fan
 
 __all__ = [
     "boundary_graph",

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import attrgetter
 
 from .rationals import as_rational, rational_to_json
 
@@ -112,12 +114,15 @@ class BoundaryGraph:
 
     @staticmethod
     def build(vertices, edges=(), marked_points=(), rho: int = 1) -> "BoundaryGraph":
-        """Normalized constructor.
+        """Normalized, validating constructor: the public way to make a graph.
 
         ``vertices`` is an iterable of (id, self_int, coeff[, nodes]) tuples
         or CurveVertex objects; ``edges`` of (a, b[, mult]) tuples or Edge
         objects; ``marked_points`` of branch-id tuples.  Vertices and edges
-        are stored sorted so equal graphs compare equal.
+        are stored sorted so equal graphs compare equal.  Ids must be
+        unique, edges and marked points must name existing vertices, and
+        the Picard rank must be positive.  Surgery results skip these
+        re-checks through ``_surgery_result``; everything else comes here.
         """
         vs = []
         for v in vertices:
@@ -196,6 +201,30 @@ class BoundaryGraph:
 # -- Calabi-Yau balance ---------------------------------------------------
 
 
+def _scaled_residuals(g: BoundaryGraph) -> tuple[dict, int]:
+    """Adjunction residuals times a common denominator, as exact ints.
+
+    Returns ({id: residual * scale}, scale) with scale the lcm of the
+    coefficient denominators times the lcm of the self-intersection
+    denominators; one pass over the vertices and one over the edges.
+    Fields may be ``int`` or ``Fraction``.
+    """
+    vs = g.vertices
+    lb = lcm(*(v.coeff.denominator for v in vs))
+    lc = lcm(*(v.self_int.denominator for v in vs))
+    scale = lb * lc
+    coeff = {v.id: v.coeff.numerator * (lb // v.coeff.denominator) for v in vs}
+    res = {}
+    for v in vs:
+        c = v.self_int.numerator * (lc // v.self_int.denominator)
+        res[v.id] = (2 * v.nodes - 2) * scale + (coeff[v.id] - lb) * c
+    for e in g.edges:
+        m = e.multiplicity * lc
+        res[e.a] += coeff[e.b] * m
+        res[e.b] += coeff[e.a] * m
+    return res, scale
+
+
 def validate_cy(g: BoundaryGraph) -> list[tuple[str, Fraction]]:
     """Adjunction residual of each vertex, in id order.
 
@@ -205,18 +234,13 @@ def validate_cy(g: BoundaryGraph) -> list[tuple[str, Fraction]]:
     every residual vanishes.  Marked points refine where intersections sit
     and contribute nothing here.
     """
-    coeff = {v.id: v.coeff for v in g.vertices}
-    out = []
-    for v in g.vertices:
-        r = Fraction(2 * v.nodes - 2) - v.self_int + v.coeff * v.self_int
-        for e in g.edges_at(v.id):
-            r += coeff[e.other(v.id)] * e.multiplicity
-        out.append((v.id, r))
-    return out
+    res, scale = _scaled_residuals(g)
+    return [(v.id, Fraction(res[v.id], scale)) for v in g.vertices]
 
 
 def is_calabi_yau(g: BoundaryGraph) -> bool:
-    return all(r == 0 for _, r in validate_cy(g))
+    """Whether every adjunction residual vanishes, tested in ``int``."""
+    return not any(_scaled_residuals(g)[0].values())
 
 
 # -- numerical invariants --------------------------------------------------
@@ -286,8 +310,31 @@ def _fresh_id(g: BoundaryGraph, prefix: str = "E") -> str:
     return f"{prefix}{k}"
 
 
-def _with_vertex(vs, vid, **changes):
-    return tuple(replace(v, **changes) if v.id == vid else v for v in vs)
+def _surgery_result(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
+    """Trusted constructor for blow-up and blow-down results only.
+
+    Sorts vertices and edges into the order ``build`` stores them in (ids
+    and endpoint pairs are unique, so the keys decide) but re-normalizes
+    and re-checks nothing else: surgery on a valid graph keeps ids unique,
+    edges normalized and marked points valid.  It can drop the Picard rank
+    below one, so that check stays.
+    """
+    if rho < 1:
+        raise InvalidGraph("Picard rank must be positive")
+    return BoundaryGraph(
+        vertices=tuple(sorted(vertices, key=attrgetter("id"))),
+        edges=tuple(sorted(edges, key=attrgetter("a", "b"))),
+        marked_points=marked_points,
+        picard_rank=rho,
+    )
+
+
+def _with_vertex(vs, vids, d_sq, d_nodes=0) -> list[CurveVertex]:
+    """``vs`` with the vertices named in ``vids`` shifted in self_int and nodes."""
+    return [
+        CurveVertex(v.id, v.self_int + d_sq, v.coeff, v.nodes + d_nodes) if v.id in vids else v
+        for v in vs
+    ]
 
 
 # -- blow-ups and blow-downs ------------------------------------------------
@@ -318,21 +365,20 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
                 f"every intersection point of {a!r} and {b!r} lies at a marked point"
             )
         va, vb = g.vertex(a), g.vertex(b)
-        new_vertex = CurveVertex(eid, Fraction(-1), va.coeff + vb.coeff - 1)
-        vs = _with_vertex(g.vertices, a, self_int=va.self_int - 1)
-        vs = _with_vertex(vs, b, self_int=vb.self_int - 1)
-        es = [x for x in g.edges if x != e]
+        vs = _with_vertex(g.vertices, (a, b), -1)
+        vs.append(CurveVertex(eid, Fraction(-1), va.coeff + vb.coeff - 1))
+        es = [x for x in g.edges if x is not e]
         if e.multiplicity > 1:
             es.append(Edge(e.a, e.b, e.multiplicity - 1))
         es += [Edge(*sorted((eid, a))), Edge(*sorted((eid, b)))]
-        return BoundaryGraph.build(vs + (new_vertex,), es, g.marked_points, g.picard_rank + 1)
+        return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
     vc = g.vertex(node)
     if vc.nodes < 1:
         raise NoSuchIntersection(f"{node!r} has no nodes")
-    new_vertex = CurveVertex(eid, Fraction(-1), 2 * vc.coeff - 1)
-    vs = _with_vertex(g.vertices, node, self_int=vc.self_int - 4, nodes=vc.nodes - 1)
-    es = list(g.edges) + [Edge(*sorted((eid, node)), multiplicity=2)]
-    return BoundaryGraph.build(vs + (new_vertex,), es, g.marked_points, g.picard_rank + 1)
+    vs = _with_vertex(g.vertices, (node,), -4, -1)
+    vs.append(CurveVertex(eid, Fraction(-1), 2 * vc.coeff - 1))
+    es = [*g.edges, Edge(*sorted((eid, node)), multiplicity=2)]
+    return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
 
 
 def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph:
@@ -345,10 +391,10 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
     eid = new_id or _fresh_id(g)
     if g.has_vertex(eid):
         raise InvalidGraph(f"vertex id {eid!r} already in use")
-    new_vertex = CurveVertex(eid, Fraction(-1), vc.coeff - 1)
-    vs = _with_vertex(g.vertices, vertex, self_int=vc.self_int - 1)
-    es = list(g.edges) + [Edge(*sorted((eid, vertex)))]
-    return BoundaryGraph.build(vs + (new_vertex,), es, g.marked_points, g.picard_rank + 1)
+    vs = _with_vertex(g.vertices, (vertex,), -1)
+    vs.append(CurveVertex(eid, Fraction(-1), vc.coeff - 1))
+    es = [*g.edges, Edge(*sorted((eid, vertex)))]
+    return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
 
 
 def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
@@ -359,6 +405,7 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
     the product of their multiplicities in new intersection points.  The
     contracted coefficient is discarded: use is_crepant_blowdown to test
     whether the contraction preserves the log Calabi-Yau structure.
+    Vertices and edges the contraction does not touch are reused as they are.
     """
     v = g.vertex(vertex)
     if v.self_int != -1:
@@ -367,26 +414,24 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
         raise VertexHasNodes(f"{vertex!r} carries nodes and is not a smooth (-1)-curve")
     if any(vertex in p.branches for p in g.marked_points):
         raise InvalidGraph(f"{vertex!r} appears in a marked point")
-    incident = g.edges_at(vertex)
-    mults = {e.other(vertex): e.multiplicity for e in incident}
+    mults = {e.other(vertex): e.multiplicity for e in g.edges_at(vertex)}
     vs = []
     for w in g.vertices:
-        if w.id == vertex:
+        m = mults.get(w.id)
+        if m:
+            w = CurveVertex(w.id, w.self_int + m * m, w.coeff, w.nodes + m * (m - 1) // 2)
+        elif w.id == vertex:
             continue
-        m = mults.get(w.id, 0)
-        vs.append(replace(w, self_int=w.self_int + m * m, nodes=w.nodes + m * (m - 1) // 2))
-    pair_gain = {}
-    for a, b in combinations(sorted(mults), 2):
-        pair_gain[(a, b)] = mults[a] * mults[b]
+        vs.append(w)
+    pair_gain = {(a, b): mults[a] * mults[b] for a, b in combinations(sorted(mults), 2)}
     es = []
     for e in g.edges:
         if vertex in (e.a, e.b):
             continue
         gain = pair_gain.pop((e.a, e.b), 0)
-        es.append(Edge(e.a, e.b, e.multiplicity + gain))
-    for (a, b), m in pair_gain.items():
-        es.append(Edge(a, b, m))
-    return BoundaryGraph.build(vs, es, g.marked_points, g.picard_rank - 1)
+        es.append(Edge(e.a, e.b, e.multiplicity + gain) if gain else e)
+    es += [Edge(a, b, m) for (a, b), m in pair_gain.items()]
+    return _surgery_result(vs, es, g.marked_points, g.picard_rank - 1)
 
 
 def is_crepant_blowdown(g: BoundaryGraph, vertex: str) -> bool:
@@ -399,8 +444,9 @@ def is_crepant_blowdown(g: BoundaryGraph, vertex: str) -> bool:
     v = g.vertex(vertex)
     if v.self_int != -1 or v.nodes != 0:
         return False
+    coeff = {w.id: w.coeff for w in g.vertices}
     expected = sum(
-        (g.vertex(e.other(vertex)).coeff * e.multiplicity for e in g.edges_at(vertex)),
+        (coeff[e.other(vertex)] * e.multiplicity for e in g.edges_at(vertex)),
         Fraction(-1),
     )
     return v.coeff == expected

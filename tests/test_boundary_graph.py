@@ -3,7 +3,14 @@ from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
-from helpers import COEFFS, random_balanced_seed, random_crepant_blowup, random_marked_seed
+import reference_core as ref
+from helpers import (
+    COEFFS,
+    random_balanced_seed,
+    random_crepant_blowup,
+    random_marked_seed,
+    random_witness_fiber,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,6 +150,12 @@ class TestBlowdown:
     def test_requires_no_nodes(self):
         g = build([("E", -1, 1, 1)])
         with pytest.raises(bg.VertexHasNodes):
+            bg.blowdown(g, "E")
+
+    def test_rank_one_refused(self):
+        # contracting a curve would leave Picard rank zero
+        g = build([("L", 1, 1), ("E", -1, 0)], [("L", "E")], rho=1)
+        with pytest.raises(bg.InvalidGraph, match="^Picard rank must be positive$"):
             bg.blowdown(g, "E")
 
     def test_crepancy_predicate(self):
@@ -429,3 +442,120 @@ def test_corner_blowup_never_raises_coregularity(seed):
         bg.blowup_corner(g, edge=tgt) if kind == "edge" else bg.blowup_corner(g, node=tgt)
     )
     assert bg.coregularity(out) <= bg.coregularity(g)
+
+
+# -- fast paths against the reference implementation ---------------------------
+
+SQ_NUDGES = (Fr(1), Fr(-1), Fr(1, 2), Fr(-1, 3), Fr(2, 5))
+
+
+def _contracted_chain(rng: random.Random) -> bg.BoundaryGraph:
+    """A singular model with non-integral self-intersections: a sub-chain of
+    an A_n resolution contracted by ``contract_minus2_chains``."""
+    n = rng.randint(1, 5)
+    g = bg.resolve_An_at_node(rng.randint(-2, 9), n, base_rank=rng.randint(1, 2))
+    i = rng.randint(1, n)
+    j = rng.randint(i, n)
+    return bg.contract_minus2_chains(g, [[f"E{k}" for k in range(i, j + 1)]]).singular
+
+
+def _variants(rng: random.Random, g: bg.BoundaryGraph) -> list[bg.BoundaryGraph]:
+    """g; g with one self-intersection or coefficient nudged, which mostly
+    unbalances it; g at Picard rank one; g with its integral fields stored
+    as ``int``, as a CurveVertex passed straight to ``build`` keeps them."""
+    v = rng.choice(g.vertices)
+    if rng.randrange(2):
+        nudged = bg.CurveVertex(v.id, v.self_int + rng.choice(SQ_NUDGES), v.coeff, v.nodes)
+    else:
+        nudged = bg.CurveVertex(v.id, v.self_int, v.coeff - rng.choice(COEFFS[1:]), v.nodes)
+    as_int = [
+        bg.CurveVertex(w.id, int(w.self_int), int(w.coeff), w.nodes)
+        if w.self_int.denominator == 1 and w.coeff.denominator == 1
+        else w
+        for w in g.vertices
+    ]
+    return [
+        g,
+        build([nudged if w.id == v.id else w for w in g.vertices], g.edges, g.marked_points,
+              g.picard_rank),
+        build(g.vertices, g.edges, g.marked_points, 1),
+        build(as_int, g.edges, g.marked_points, g.picard_rank),
+    ]
+
+
+def _same_outcome(fast, slow, *args, **kwargs):
+    """Run both; they must return the same repr or raise the same error.
+    Returns the result, or the error for a refused input."""
+    try:
+        want = slow(*args, **kwargs)
+    except bg.GraphError as exc:
+        with pytest.raises(bg.GraphError) as got:
+            fast(*args, **kwargs)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc)), args
+        return got.value
+    out = fast(*args, **kwargs)
+    assert repr(out) == repr(want), args
+    return out
+
+
+def _check_against_reference(g: bg.BoundaryGraph) -> list:
+    """Every fast path on g against the reference; returns what came out."""
+    residuals = ref.validate_cy(g)
+    assert repr(bg.validate_cy(g)) == repr(residuals)
+    assert bg.is_calabi_yau(g) == all(r == 0 for _, r in residuals)
+    used = g.vertices[0].id
+    calls = [
+        (bg.blowup_corner, ref.blowup_corner, (g,), {}),
+        (bg.blowup_corner, ref.blowup_corner, (g,), {"edge": (used, "nowhere")}),
+        (bg.blowup_corner, ref.blowup_corner, (g,), {"node": used, "new_id": used}),
+        (bg.blowup_interior, ref.blowup_interior, (g, used), {"new_id": used}),
+    ]
+    for e in g.edges:
+        for edge, new_id in (((e.a, e.b), None), ((e.b, e.a), "X"), ((e.a, e.b), used)):
+            calls.append((bg.blowup_corner, ref.blowup_corner, (g,),
+                          {"edge": edge, "new_id": new_id}))
+    for vid in g.ids() + ["nowhere"]:
+        calls.append((bg.blowup_corner, ref.blowup_corner, (g,), {"node": vid, "new_id": "X"}))
+        calls.append((bg.blowup_interior, ref.blowup_interior, (g, vid), {}))
+        calls.append((bg.blowdown, ref.blowdown, (g, vid), {}))
+        calls.append((bg.is_crepant_blowdown, ref.is_crepant_blowdown, (g, vid), {}))
+    outcomes = []
+    for fast, slow, args, kwargs in calls:
+        out = _same_outcome(fast, slow, *args, **kwargs)
+        outcomes.append(out)
+        if isinstance(out, bg.BoundaryGraph):
+            assert out == build(out.vertices, out.edges, out.marked_points, out.picard_rank)
+            if fast is not bg.blowdown:
+                new = kwargs.get("new_id") or ref._fresh_id(g)
+                assert _same_outcome(bg.blowdown, ref.blowdown, out, new) == g
+    return outcomes
+
+
+class TestFastPathsMatchReference:
+    def test_graph_fixtures(self):
+        for name in fixtures.fixture_names():
+            if fixtures.fixture_kind(name) == "graph":
+                _check_against_reference(fixtures.load_fixture(name))
+
+    def test_random_graphs(self):
+        rng = random.Random(20241019)
+        sources = (random_balanced_seed, random_marked_seed, random_witness_fiber,
+                   _contracted_chain)
+        balanced = set()
+        refusals = set()
+        for i in range(100):
+            for g in _variants(rng, sources[i % len(sources)](rng)):
+                balanced.add(bg.is_calabi_yau(g))
+                for out in _check_against_reference(g):
+                    if isinstance(out, bg.GraphError):
+                        refusals.add(str(out))
+        assert balanced == {True, False}
+        for phrase in ("lies at a marked point", "already in use", "not -1",
+                       "Picard rank must be positive", "appears in a marked point"):
+            assert any(phrase in message for message in refusals), phrase
+
+    def test_int_fields(self):
+        g = build([bg.CurveVertex("A", 1, 1, 1), bg.CurveVertex("B", -2, 0)], [("A", "B")], rho=2)
+        assert bg.validate_cy(g) == ref.validate_cy(g) == [("A", Fr(0)), ("B", Fr(1))]
+        assert not bg.is_calabi_yau(g)
+        assert bg.is_calabi_yau(build([bg.CurveVertex("A", 9, 1, 1)]))

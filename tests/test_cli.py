@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,19 @@ class TestGraphCommand:
         code, _, err = invoke(capsys, "graph", "fixture:p2.triangle", "--apply", script)
         assert code == 3
         assert "NotMinusOneCurve" in err
+
+    def test_blowdown_to_rank_zero_exits_3(self, capsys):
+        spec = json.dumps(
+            {
+                "rho": 1,
+                "vertices": [{"id": "L", "sq": 1}, {"id": "E", "sq": -1, "coeff": 0}],
+                "edges": [{"a": "E", "b": "L"}],
+            }
+        )
+        script = json.dumps([{"op": "blowdown", "vertex": "E"}])
+        assert invoke(capsys, "graph", spec, "--apply", script) == (
+            3, "", "error: InvalidGraph: Picard rank must be positive\n"
+        )
 
 
 class TestFanCommand:
@@ -296,3 +313,24 @@ class TestExpectedVerdictTable:
                     with pytest.raises(lf.NoToricMorphism):
                         lf.p1_projection(fan, form)
                     lf.p1_projection(lf.subdivide_for_projection(fan, form), form)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_cypair_cli_is_quiet(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cypair.cli", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: ")
+
+    def test_cli_imports(self):
+        import cypair
+        from cypair import cli
+        from cypair.cli import run as imported_run
+
+        assert "cli" in cypair.__all__
+        assert cli.run is imported_run is run
