@@ -535,9 +535,10 @@ def _check_chain(g: BoundaryGraph, chain: list[str]) -> None:
     for a, b in zip(chain, chain[1:]):
         if g.intersection(a, b) != 1:
             raise NotMinusTwoChain(f"{a!r} and {b!r} are not chain neighbours")
-    for a, b in combinations(chain, 2):
-        if abs(chain.index(a) - chain.index(b)) > 1 and g.intersection(a, b) != 0:
-            raise NotMinusTwoChain("chain has a chord")
+    for i, a in enumerate(chain):
+        for b in chain[i + 2:]:
+            if g.intersection(a, b) != 0:
+                raise NotMinusTwoChain("chain has a chord")
 
 
 def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
@@ -562,26 +563,23 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
         if removed & set(chain):
             raise NotMinusTwoChain("chains overlap")
         removed |= set(chain)
+    # where each contracted curve sits: (chain number, 0-based position)
+    where = {c: (n, i) for n, chain in enumerate(chains) for i, c in enumerate(chain)}
+    # the nonzero entries of each survivor's intersection vector with each chain
+    meets = {}
+    for e in g.edges:
+        for a, b in ((e.a, e.b), (e.b, e.a)):
+            if a not in where and b in where:
+                n, i = where[b]
+                meets.setdefault((a, n), []).append((i, e.multiplicity))
     sq_gain = {v.id: Fraction(0) for v in g.vertices}
-    for chain in chains:
-        k = len(chain)
-        for v in g.vertices:
-            if v.id in removed:
-                continue
-            vec = tuple(g.intersection(v.id, c) for c in chain)
-            if any(vec):
-                # rational self-intersection correction from the pull-back:
-                # vec . M^{-1} . vec with M^{-1}_{ij} = min(i,j)(k+1-max(i,j))/(k+1)
-                # in 1-based chain coordinates
-                gain = Fraction(0)
-                for i in range(k):
-                    for j in range(k):
-                        gain += (
-                            vec[i]
-                            * vec[j]
-                            * Fraction((min(i, j) + 1) * (k - max(i, j)), k + 1)
-                        )
-                sq_gain[v.id] += gain
+    for (vid, n), vec in meets.items():
+        # rational self-intersection correction from the pull-back:
+        # vec . M^{-1} . vec with M^{-1}_{ij} = (min(i,j)+1)(k-max(i,j))/(k+1)
+        # in 0-based chain positions, summed over the integer numerators
+        k = len(chains[n])
+        num = sum(mi * mj * (min(i, j) + 1) * (k - max(i, j)) for i, mi in vec for j, mj in vec)
+        sq_gain[vid] += Fraction(num, k + 1)
     vs = [
         replace(v, self_int=v.self_int + sq_gain[v.id])
         for v in g.vertices

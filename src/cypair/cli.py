@@ -12,6 +12,7 @@ raised by the computation modules.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -202,7 +203,13 @@ def _apply_script(g: bgm.BoundaryGraph, script) -> bgm.BoundaryGraph:
             raise CliInputError(f"script step must be an object, got {step!r}")
         op = step.get("op")
         if op == "blowup_corner" and "edge" in step:
-            g = bgm.blowup_corner(g, edge=tuple(step["edge"]))
+            edge = step["edge"]
+            if not (isinstance(edge, list) and len(edge) == 2
+                    and all(isinstance(vid, str) for vid in edge)):
+                raise CliInputError(
+                    f"blowup_corner edge must be an array of two vertex ids, got {edge!r}"
+                )
+            g = bgm.blowup_corner(g, edge=tuple(edge))
         elif op == "blowup_corner" and "node" in step:
             g = bgm.blowup_corner(g, node=step["node"])
         elif op == "blowup_interior":
@@ -356,7 +363,13 @@ def _cmd_fixture(args) -> int:
 # -- dispatch -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``cypair`` parser, built on the first ``run`` and then shared.
+
+    Building it costs far more than parsing a command line; parsing does
+    not change it, and every ``parse_args`` returns a fresh namespace.
+    """
     p = argparse.ArgumentParser(
         prog="cypair",
         description="Exact decision procedures for log Calabi-Yau surface pairs",

@@ -7,6 +7,12 @@ before the trusted constructor: every result goes through the validating
 ``BoundaryGraph.build`` and every changed vertex through
 ``dataclasses.replace``.  ``cypair.boundary_graph`` must return equal
 values, or raise the same error with the same message.
+
+``contract_minus2_chains`` and its ``_check_chain`` are kept as they
+stood before the integer pull-back: a k-by-k loop of ``Fraction``
+products per survivor and chain, ``intersection`` lookups for every
+entry of the intersection vector, and a chord check through
+``chain.index``.
 """
 
 from __future__ import annotations
@@ -160,3 +166,77 @@ def is_crepant_blowdown(g: bg.BoundaryGraph, vertex: str) -> bool:
         Fraction(-1),
     )
     return v.coeff == expected
+
+
+def _check_chain(g: bg.BoundaryGraph, chain: list[str]) -> None:
+    if len(set(chain)) != len(chain) or not chain:
+        raise bg.NotMinusTwoChain("chain must list distinct vertices")
+    coeffs = set()
+    for vid in chain:
+        v = g.vertex(vid)
+        if v.self_int != -2:
+            raise bg.NotMinusTwoChain(f"{vid!r} has self-intersection {v.self_int}, not -2")
+        if v.nodes:
+            raise bg.NotMinusTwoChain(f"{vid!r} carries nodes")
+        coeffs.add(v.coeff)
+    if len(coeffs) > 1:
+        raise bg.NotMinusTwoChain("chain coefficients differ")
+    for a, b in zip(chain, chain[1:]):
+        if g.intersection(a, b) != 1:
+            raise bg.NotMinusTwoChain(f"{a!r} and {b!r} are not chain neighbours")
+    for a, b in combinations(chain, 2):
+        if abs(chain.index(a) - chain.index(b)) > 1 and g.intersection(a, b) != 0:
+            raise bg.NotMinusTwoChain("chain has a chord")
+
+
+def contract_minus2_chains(g: bg.BoundaryGraph, chains=None) -> bg.ChainContraction:
+    """Contract chains of (-2)-curves to A_k singular-point marks.
+
+    Without an explicit ``chains`` argument every maximal chain of
+    (-2)-vertices is taken.  The returned singular model keeps the
+    surviving curves with their self-intersections corrected by the
+    rational pull-back contribution of each chain (so they may become
+    non-integral) and the edges among them; where two survivors meet at a
+    new singular point, that intersection is not recorded.  Each contracted
+    chain of k curves leaves one A_k point, listed in ``mark_ranks``.
+    """
+    if chains is None:
+        chains = bg._minus2_components(g)
+    else:
+        chains = [list(c) for c in chains]
+    for chain in chains:
+        _check_chain(g, chain)
+    removed = set()
+    for chain in chains:
+        if removed & set(chain):
+            raise bg.NotMinusTwoChain("chains overlap")
+        removed |= set(chain)
+    sq_gain = {v.id: Fraction(0) for v in g.vertices}
+    for chain in chains:
+        k = len(chain)
+        for v in g.vertices:
+            if v.id in removed:
+                continue
+            vec = tuple(g.intersection(v.id, c) for c in chain)
+            if any(vec):
+                # rational self-intersection correction from the pull-back:
+                # vec . M^{-1} . vec with M^{-1}_{ij} = min(i,j)(k+1-max(i,j))/(k+1)
+                # in 1-based chain coordinates
+                gain = Fraction(0)
+                for i in range(k):
+                    for j in range(k):
+                        gain += (
+                            vec[i]
+                            * vec[j]
+                            * Fraction((min(i, j) + 1) * (k - max(i, j)), k + 1)
+                        )
+                sq_gain[v.id] += gain
+    vs = [
+        replace(v, self_int=v.self_int + sq_gain[v.id])
+        for v in g.vertices
+        if v.id not in removed
+    ]
+    es = [e for e in g.edges if e.a not in removed and e.b not in removed]
+    mps = [p for p in g.marked_points if not (set(p.branches) & removed)]
+    singular = bg.BoundaryGraph.build(vs, es, mps, g.picard_rank - len(removed))
+    return bg.ChainContraction(singular, sorted(len(chain) for chain in chains))

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 import reference_core as ref
@@ -559,3 +560,85 @@ class TestFastPathsMatchReference:
         assert bg.validate_cy(g) == ref.validate_cy(g) == [("A", Fr(0)), ("B", Fr(1))]
         assert not bg.is_calabi_yau(g)
         assert bg.is_calabi_yau(build([bg.CurveVertex("A", 9, 1, 1)]))
+
+
+def _random_chain_graph(rng: random.Random):
+    """A graph with 1-3 chains of (-2)-curves and 1-4 other curves meeting
+    them, and a ``chains`` argument for it: None, the true chains (some
+    reversed or left out), or a list that must be refused.  Sometimes a
+    chain gets a chord, is closed into a cycle or has a mixed coefficient."""
+    vs, es, chains = [], [], []
+    for n in range(rng.randint(1, 3)):
+        chain = [f"C{n}{i}" for i in range(rng.randint(1, 5))]
+        coeff = rng.choice(COEFFS)
+        vs += [(c, -2, coeff) for c in chain]
+        es += [(a, b) for a, b in zip(chain, chain[1:])]
+        if len(chain) >= 3 and rng.random() < 0.1:
+            es.append((chain[0], chain[rng.randint(2, len(chain) - 1)]))  # a chord or a cycle
+        if len(chain) >= 2 and rng.random() < 0.1:
+            vs[-1] = rng.choice([(chain[-1], -2, coeff - Fr(1, 4)), (chain[-1], -2, coeff, 1)])
+        chains.append(chain)
+    survivors = [f"S{j}" for j in range(rng.randint(1, 4))]
+    for s in survivors:
+        sq = rng.choice([-4, -3, -1, 0, 1, 3, 6, Fr(7, 2), Fr(-4, 3)])
+        if rng.random() < 0.05:
+            sq = -2  # joins a neighbouring chain when chains are not given
+        vs.append((s, sq, rng.choice(COEFFS), rng.randint(0, 1)))
+        for chain in chains:
+            # several curves of one chain, some with multiplicity 2 or 3
+            for c in rng.sample(chain, rng.randint(0, min(3, len(chain)))):
+                es.append((s, c, rng.choice([1, 1, 2, 3])))
+    for a, b in combinations(survivors, 2):
+        if rng.random() < 0.4:
+            es.append((a, b, rng.randint(1, 2)))
+    ids = [v[0] for v in vs]
+    mps = [rng.sample(ids, 3)] if len(ids) >= 3 and rng.random() < 0.3 else []
+    rho = len(vs) + rng.randint(-1, 2)
+    mode = rng.choice((0, 0, 1, 1, 2, 3, 4, 5))
+    if mode == 0:
+        arg = None
+    elif mode == 1:
+        arg = [c[::-1] if rng.randrange(2) else c for c in chains]
+    elif mode == 2:
+        arg = rng.sample(chains, rng.randint(1, len(chains)))
+    elif mode == 3:
+        arg = chains + [rng.choice(chains)[-1:]]  # overlap
+    elif mode == 4:
+        arg = [chains[0] + [rng.choice(survivors)]]  # a curve that is not a (-2)-curve, mostly
+    else:
+        arg = [chains[0][:1] * 2] if rng.randrange(2) else [[], chains[0]]
+    return build(vs, es, mps, max(rho, 1)), arg
+
+
+class TestContractChainsMatchesReference:
+    def test_graph_fixtures(self):
+        for name in fixtures.fixture_names():
+            if fixtures.fixture_kind(name) == "graph":
+                g = fixtures.load_fixture(name)
+                _same_outcome(bg.contract_minus2_chains, ref.contract_minus2_chains, g)
+
+    def test_random_graphs(self):
+        rng = random.Random(20260518)
+        refusals = set()
+        seen = set()
+        for _ in range(1500):
+            g, chains = _random_chain_graph(rng)
+            out = _same_outcome(bg.contract_minus2_chains, ref.contract_minus2_chains, g, chains)
+            if isinstance(out, bg.GraphError):
+                refusals.add(str(out))
+                continue
+            seen.add("explicit" if chains is not None else "all")
+            for chain in bg._minus2_components(g) if chains is None else chains:
+                for v in out.singular.vertices:
+                    vec = [g.intersection(v.id, c) for c in chain]
+                    if max(vec) >= 2:
+                        seen.add("multiplicity")
+                    if sum(1 for m in vec if m) >= 2:
+                        seen.add("several curves")
+            if any(v.self_int.denominator > 1 for v in out.singular.vertices):
+                seen.add("non-integral")
+        assert seen == {"explicit", "all", "multiplicity", "several curves", "non-integral"}
+        for phrase in ("chains overlap", "chain has a chord", "form a cycle", "simple path",
+                       "coefficients differ", "not -2", "carries nodes", "distinct vertices",
+                       "Picard rank must be positive"):
+            assert any(phrase in message for message in refusals), phrase

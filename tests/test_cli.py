@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cypair import boundary_graph as bg
+from cypair import cli
 from cypair import fiber_criteria as fc
 from cypair import fixtures
 from cypair import lattice_fan as lf
@@ -145,6 +146,51 @@ class TestGraphCommand:
         assert invoke(capsys, "graph", spec, "--apply", script) == (
             3, "", "error: InvalidGraph: Picard rank must be positive\n"
         )
+
+    @pytest.mark.parametrize("edge", [["L1"], 5, ["L1", "L2", "L3"], [1, "L1"]])
+    def test_blowup_corner_edge_not_a_pair_exits_2(self, capsys, edge):
+        script = json.dumps([{"op": "blowup_corner", "edge": edge}])
+        assert invoke(capsys, "graph", "fixture:p2.triangle", "--apply", script) == (
+            2, "", f"error: blowup_corner edge must be an array of two vertex ids, got {edge!r}\n"
+        )
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "out.json"
+        sequence = [
+            ["graph", "fixture:ex63.graph", "--op", "witness", "--depth", "0"],
+            ["graph", "fixture:ex63.graph", "--op", "witness"],
+            ["classify", "A1+A2+A5", "--format", "text"],
+            ["classify", "A1+A2+A5"],
+            ["check-fiber", "fixture:ex62.pic2", "--rank", "2"],
+            ["check-fiber", "fixture:ex62.pic2"],
+            ["check-fiber", "fixture:ex62.pic1"],
+            ["--help"],
+            ["graph", "--help"],
+            ["graph", "fixture:p2.triangle", "--op", "no-such-op"],
+            ["graph", "fixture:p2.triangle"],
+            ["fan", "fixture:p2.fan", "--out", str(out)],
+            ["fan", "fixture:p2.fan"],
+        ]
+
+        def outcomes():
+            got = []
+            for argv in sequence:
+                out.unlink(missing_ok=True)
+                got.append((invoke(capsys, *argv), out.read_text() if out.exists() else None))
+            return got
+
+        shared = outcomes() + outcomes()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = outcomes()
+        assert shared == fresh + fresh
+        codes = [code for (code, _, _), _ in fresh]
+        assert codes == [0] * 7 + [0, 0, 2] + [0] * 3
+        assert fresh[0] != fresh[1] and fresh[2] != fresh[3] and fresh[11] != fresh[12]
 
 
 class TestFanCommand:
