@@ -3,10 +3,11 @@
 Subcommands: ``classify`` (singularity string), ``decide-pair`` (pair
 JSON), ``check-fiber`` (fiber JSON), ``graph`` (graph JSON plus an
 operation), ``fan`` (fan JSON plus an operation), ``catalog`` and
-``fixture``.  Verdicts are printed as JSON on stdout; DOT output goes to
-``--out`` when given.  Exit codes: 0 for any computed verdict (including a
-negative one), 2 for input validation failures, 3 for precondition errors
-raised by the computation modules.
+``fixture``.  Each handler returns its payload and ``run`` writes it once,
+as JSON (or ``--format text``/``dot``) on stdout or to ``--out``.  Exit
+codes: 0 for any computed verdict (including a negative one), 2 for input
+validation failures, 3 for precondition errors raised by the computation
+modules.
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ def _read_value(text: str, cls, from_json, error):
 
 
 def _emit(payload, args) -> None:
-    if args.format == "text":
+    """The one writer: a dict as JSON or text, a ``str`` (DOT) as is, to stdout or ``--out``."""
+    if isinstance(payload, str):
+        text = payload
+    elif args.format == "text":
         lines = []
         for key in sorted(payload):
             value = payload[key]
@@ -104,36 +108,31 @@ def _emit(payload, args) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, sort_keys=True) + "\n"
-    _write(text, args)
-
-
-def _write(text: str, args) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write --out {args.out!r}: {exc}") from exc
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each returns its payload -----------------------------------
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     try:
         sings = atlas.parse_singularities(args.singularities)
     except atlas.AtlasError as exc:
         raise CliInputError(str(exc)) from exc
     verdict = atlas.classify_surface(sings)
-    _emit(
-        {
-            "cluster_type": verdict.cluster_type,
-            "volume": atlas.volume_of(sings),
-            "singularities": atlas.format_singularities(sings),
-            "reason": verdict.reason,
-        },
-        args,
-    )
-    return 0
+    return {
+        "cluster_type": verdict.cluster_type,
+        "volume": atlas.volume_of(sings),
+        "singularities": atlas.format_singularities(sings),
+        "reason": verdict.reason,
+    }
 
 
 def _boundary_from_json(data) -> object:
@@ -150,7 +149,7 @@ def _boundary_from_json(data) -> object:
     raise CliInputError(f"unknown boundary kind {kind!r}")
 
 
-def _cmd_decide_pair(args) -> int:
+def _cmd_decide_pair(args) -> dict:
     data = _read_spec(args.spec)
     try:
         sings = atlas.parse_singularities(data["singularities"])
@@ -159,40 +158,26 @@ def _cmd_decide_pair(args) -> int:
     except (KeyError, TypeError, atlas.AtlasError) as exc:
         raise CliInputError(f"bad pair spec: {exc}") from exc
     verdict = atlas.decide_pair(spec)
-    _emit(
-        {
-            "cluster_type": verdict.cluster_type,
-            "case": verdict.case,
-            "volume": verdict.volume,
-            "reason": verdict.reason,
-        },
-        args,
-    )
-    return 0
+    return {
+        "cluster_type": verdict.cluster_type,
+        "case": verdict.case,
+        "volume": verdict.volume,
+        "reason": verdict.reason,
+    }
 
 
-def _cmd_check_fiber(args) -> int:
+def _cmd_check_fiber(args) -> dict:
     fiber = _read_value(args.spec, fc.FiberSpec, fc.fiber_from_json, fc.FiberError)
     if args.rank is not None and args.rank != fiber.rel_picard_rank:
         raise CliInputError(
             f"--rank {args.rank} disagrees with the spec's rank {fiber.rel_picard_rank}"
         )
     verdict = fc.check_pic1(fiber) if fiber.rel_picard_rank == 1 else fc.check_pic2(fiber)
-    _emit(
-        {
-            "cluster_type": verdict.cluster_type,
-            "failed_conditions": list(verdict.failed_conditions),
-            "rank": fiber.rel_picard_rank,
-        },
-        args,
-    )
-    return 0
-
-
-_GRAPH_OPS = (
-    "validate-cy", "complexity", "coregularity", "index-integral",
-    "contract-chains", "witness", "dot",
-)
+    return {
+        "cluster_type": verdict.cluster_type,
+        "failed_conditions": list(verdict.failed_conditions),
+        "rank": fiber.rel_picard_rank,
+    }
 
 
 def _apply_script(g: bgm.BoundaryGraph, script) -> bgm.BoundaryGraph:
@@ -212,7 +197,7 @@ def _apply_script(g: bgm.BoundaryGraph, script) -> bgm.BoundaryGraph:
             g = bgm.blowup_corner(g, edge=tuple(edge))
         elif op == "blowup_corner" and "node" in step:
             g = bgm.blowup_corner(g, node=step["node"])
-        elif op == "blowup_interior":
+        elif op == "blowup_interior" and "vertex" in step:
             g = bgm.blowup_interior(g, step["vertex"])
         elif op == "blowdown":
             g = bgm.blowdown(g, step["vertex"])
@@ -221,109 +206,98 @@ def _apply_script(g: bgm.BoundaryGraph, script) -> bgm.BoundaryGraph:
     return g
 
 
-def _cmd_graph(args) -> int:
+def _validate_cy(g, args) -> dict:
+    residuals = bgm.validate_cy(g)
+    return {
+        "residuals": {vid: rational_to_json(r) for vid, r in residuals},
+        "calabi_yau": all(r == 0 for _, r in residuals),
+    }
+
+
+def _contract_chains(g, args) -> dict:
+    res = bgm.contract_minus2_chains(g)
+    return {
+        "marks": [f"A{k}" for k in res.mark_ranks],
+        "rho": res.singular.picard_rank,
+        "graph": bgm.graph_to_json(res.singular),
+    }
+
+
+def _witness(g, args) -> dict:
+    w = fc.prop51_witness_search(g, max_blowups=args.depth, coeff_cap=args.cap)
+    if w is None:
+        return {"witness": None}
+    return {"witness": {"script": [list(s) for s in w.script], "divisor": w.divisor, "node": list(w.node)}}
+
+
+# ``graph --op`` name -> (graph, args) -> payload, in ``--help`` order.
+_GRAPH_OPS = {
+    "validate-cy": _validate_cy,
+    "complexity": lambda g, args: {"complexity": rational_to_json(bgm.complexity(g))},
+    "coregularity": lambda g, args: {"coregularity": bgm.coregularity(g)},
+    "index-integral": lambda g, args: {"index_integral": bgm.index_integral(g)},
+    "contract-chains": _contract_chains,
+    "witness": _witness,
+    "dot": lambda g, args: emit_dot(g),
+}
+
+
+def _cmd_graph(args):
     g = _read_value(args.spec, bgm.BoundaryGraph, bgm.graph_from_json, bgm.GraphError)
     if args.apply:
         g = _apply_script(g, json.loads(args.apply))
-    op = "dot" if args.format == "dot" else args.op
-    if op == "validate-cy":
-        residuals = bgm.validate_cy(g)
-        _emit(
-            {
-                "residuals": {vid: rational_to_json(r) for vid, r in residuals},
-                "calabi_yau": all(r == 0 for _, r in residuals),
-            },
-            args,
-        )
-    elif op == "complexity":
-        _emit({"complexity": rational_to_json(bgm.complexity(g))}, args)
-    elif op == "coregularity":
-        _emit({"coregularity": bgm.coregularity(g)}, args)
-    elif op == "index-integral":
-        _emit({"index_integral": bgm.index_integral(g)}, args)
-    elif op == "contract-chains":
-        res = bgm.contract_minus2_chains(g)
-        _emit(
-            {
-                "marks": [f"A{k}" for k in res.mark_ranks],
-                "rho": res.singular.picard_rank,
-                "graph": bgm.graph_to_json(res.singular),
-            },
-            args,
-        )
-    elif op == "witness":
-        w = fc.prop51_witness_search(g, max_blowups=args.depth, coeff_cap=args.cap)
-        if w is None:
-            _emit({"witness": None}, args)
-        else:
-            _emit(
-                {
-                    "witness": {
-                        "script": [list(s) for s in w.script],
-                        "divisor": w.divisor,
-                        "node": list(w.node),
-                    }
-                },
-                args,
-            )
-    elif op == "dot":
-        _write(emit_dot(g), args)
-    else:
-        _emit({"graph": bgm.graph_to_json(g)}, args)
-    return 0
+    return _GRAPH_OPS["dot" if args.format == "dot" else args.op](g, args)
 
 
-_FAN_OPS = (
-    "validate", "smooth", "self-intersections", "complexity",
-    "resolve", "subdivide", "project", "prepare-projection",
-)
-
-
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
+def _pair_arg(text, flag: str, missing_msg: str) -> tuple[int, int]:
+    """Parse an ``x,y`` option value; ``missing_msg`` is the error when it is absent."""
+    if not text:
+        raise CliInputError(missing_msg)
     try:
         x, y = (int(t) for t in text.split(","))
     except ValueError as exc:
-        raise CliInputError(f"{what} must look like 'x,y'") from exc
+        raise CliInputError(f"{flag} must look like 'x,y'") from exc
     return x, y
 
 
-def _cmd_fan(args) -> int:
+def _project(fan, args) -> dict:
+    data = lf.p1_projection(fan, _pair_arg(args.form, "--form", "project needs --form a,b"))
+    return {
+        "vertical_rays": list(data.vertical_rays),
+        "fiber_over_zero": [list(t) for t in data.fiber_over_zero],
+        "fiber_over_infinity": [list(t) for t in data.fiber_over_infinity],
+    }
+
+
+def _prepare_projection(fan, args) -> dict:
+    form = _pair_arg(args.form, "--form", "prepare-projection needs --form a,b")
+    return {"rays": lf.fan_to_json(lf.subdivide_for_projection(fan, form))}
+
+
+def _subdivide(fan, args) -> dict:
+    ray = _pair_arg(args.ray, "--ray", "subdivide needs --ray x,y")
+    return {"rays": lf.fan_to_json(lf.star_subdivide(fan, ray))}
+
+
+# ``fan --op`` name -> (fan, args) -> payload, in ``--help`` order.
+_FAN_OPS = {
+    "validate": lambda fan, args: {"rays": lf.fan_to_json(fan)},
+    "smooth": lambda fan, args: {"smooth": lf.is_smooth(fan)},
+    "self-intersections": lambda fan, args: {"self_intersections": lf.self_intersections(fan)},
+    "complexity": lambda fan, args: {"complexity": rational_to_json(lf.toric_pair_complexity(fan))},
+    "resolve": lambda fan, args: {"rays": lf.fan_to_json(lf.resolve(fan))},
+    "subdivide": _subdivide,
+    "project": _project,
+    "prepare-projection": _prepare_projection,
+}
+
+
+def _cmd_fan(args) -> dict:
     fan = _read_value(args.spec, lf.Fan2, lf.fan_from_json, lf.FanError)
-    op = args.op
-    if op == "validate":
-        _emit({"rays": lf.fan_to_json(fan)}, args)
-    elif op == "smooth":
-        _emit({"smooth": lf.is_smooth(fan)}, args)
-    elif op == "self-intersections":
-        _emit({"self_intersections": lf.self_intersections(fan)}, args)
-    elif op == "complexity":
-        _emit({"complexity": rational_to_json(lf.toric_pair_complexity(fan))}, args)
-    elif op == "resolve":
-        _emit({"rays": lf.fan_to_json(lf.resolve(fan))}, args)
-    elif op == "subdivide":
-        if not args.ray:
-            raise CliInputError("subdivide needs --ray x,y")
-        _emit({"rays": lf.fan_to_json(lf.star_subdivide(fan, _parse_pair(args.ray, "--ray")))}, args)
-    elif op == "project":
-        if not args.form:
-            raise CliInputError("project needs --form a,b")
-        data = lf.p1_projection(fan, _parse_pair(args.form, "--form"))
-        _emit(
-            {
-                "vertical_rays": list(data.vertical_rays),
-                "fiber_over_zero": [list(t) for t in data.fiber_over_zero],
-                "fiber_over_infinity": [list(t) for t in data.fiber_over_infinity],
-            },
-            args,
-        )
-    elif op == "prepare-projection":
-        if not args.form:
-            raise CliInputError("prepare-projection needs --form a,b")
-        _emit({"rays": lf.fan_to_json(lf.subdivide_for_projection(fan, _parse_pair(args.form, "--form")))}, args)
-    return 0
+    return _FAN_OPS[args.op](fan, args)
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> dict:
     rows = [
         {
             "singularities": fam.name,
@@ -334,14 +308,12 @@ def _cmd_catalog(args) -> int:
         }
         for fam in atlas.catalog()
     ]
-    _emit({"families": rows, "count": len(rows)}, args)
-    return 0
+    return {"families": rows, "count": len(rows)}
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args):
     if args.list:
-        _emit({"fixtures": fixtures.fixture_names()}, args)
-        return 0
+        return {"fixtures": fixtures.fixture_names()}
     if not args.name:
         raise CliInputError("pass a fixture name or --list")
     try:
@@ -349,15 +321,10 @@ def _cmd_fixture(args) -> int:
     except fixtures.UnknownFixture as exc:
         raise CliInputError(f"UnknownFixture: {exc}") from exc
     if isinstance(obj, bgm.BoundaryGraph):
-        if args.format == "dot":
-            _write(emit_dot(obj), args)
-        else:
-            _emit({"kind": "graph", "graph": bgm.graph_to_json(obj)}, args)
-    elif isinstance(obj, fc.FiberSpec):
-        _emit({"kind": "fiber", "fiber": fc.fiber_to_json(obj)}, args)
-    else:
-        _emit({"kind": "fan", "rays": lf.fan_to_json(obj)}, args)
-    return 0
+        return emit_dot(obj) if args.format == "dot" else {"kind": "graph", "graph": bgm.graph_to_json(obj)}
+    if isinstance(obj, fc.FiberSpec):
+        return {"kind": "fiber", "fiber": fc.fiber_to_json(obj)}
+    return {"kind": "fan", "rays": lf.fan_to_json(obj)}
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -391,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("graph", help="dual-graph operations")
     g.add_argument("spec", help="graph JSON file, inline JSON, '-' or fixture:NAME")
-    g.add_argument("--op", choices=_GRAPH_OPS, default="validate-cy")
+    g.add_argument("--op", choices=tuple(_GRAPH_OPS), default="validate-cy")
     g.add_argument("--apply", help="JSON array of blow-up/blow-down steps")
     g.add_argument("--depth", type=int, default=3, help="witness search depth cap")
     g.add_argument("--cap", type=int, default=6, help="witness divisor coefficient cap")
@@ -399,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("fan", help="complete-fan operations")
     n.add_argument("spec", help="fan JSON file, inline JSON, '-' or fixture:NAME")
-    n.add_argument("--op", choices=_FAN_OPS, default="validate")
+    n.add_argument("--op", choices=tuple(_FAN_OPS), default="validate")
     n.add_argument("--ray", help="x,y for subdivide")
     n.add_argument("--form", help="a,b for project / prepare-projection")
     n.set_defaults(func=_cmd_fan)
@@ -441,13 +408,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _emit(args.func(args), args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _MODULE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def main() -> None:

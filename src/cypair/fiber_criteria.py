@@ -45,6 +45,8 @@ SMOOTH_POINT = "smooth"
 
 def node_location(text: str) -> str:
     """Validate a node location: "smooth" or "A<n>"."""
+    if not isinstance(text, str):
+        raise FiberError(f"node location must be a string, got {text!r}")
     if text == SMOOTH_POINT:
         return text
     if text.startswith("A") and text[1:].isdigit() and int(text[1:]) >= 1:

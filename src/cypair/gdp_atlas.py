@@ -61,6 +61,8 @@ _TERM = re.compile(r"^(\d*)([ADE])(\d+)$")
 
 def parse_singularities(text: str) -> tuple[SingularityLabel, ...]:
     """Parse strings like "2A1+2A3", "A1+A2+A5", "4A2" or "smooth"."""
+    if not isinstance(text, str):
+        raise AtlasError(f"singularities must be a string, got {text!r}")
     text = text.strip()
     if text in ("", "smooth", "none"):
         return ()

@@ -79,6 +79,13 @@ class TestDecidePair:
         code, _, _ = invoke(capsys, "decide-pair", spec)
         assert code == 2
 
+    @pytest.mark.parametrize("sings", [5, ["A1"]])
+    def test_non_string_singularities_exit_2(self, capsys, sings):
+        spec = json.dumps({"singularities": sings, "boundary": {"kind": "nodal_smooth_locus"}})
+        assert invoke(capsys, "decide-pair", spec) == (
+            2, "", f"error: bad pair spec: singularities must be a string, got {sings!r}\n"
+        )
+
 
 class TestCheckFiber:
     def test_rank_one_volume_four(self, capsys):
@@ -98,6 +105,12 @@ class TestCheckFiber:
         spec = json.dumps(fc.fiber_to_json(fixtures.load_fixture("ex63.resolved")))
         data = invoke_json(capsys, "check-fiber", spec)
         assert data["cluster_type"] is True
+
+    def test_non_string_node_location_exits_2(self, capsys):
+        spec = '{"rank":1,"components":[{"sq":4}],"node":{"present":true,"at":5},"volume":4}'
+        assert invoke(capsys, "check-fiber", spec) == (
+            2, "", "error: node location must be a string, got 5\n"
+        )
 
 
 class TestGraphCommand:
@@ -121,6 +134,29 @@ class TestGraphCommand:
     def test_witness(self, capsys):
         data = invoke_json(capsys, "graph", "fixture:ex62.graph", "--op", "witness")
         assert data == {"witness": None}
+
+    @pytest.mark.parametrize("name, fmt, expected", [
+        ("ex63.graph", "json", '{"witness": {"divisor": {"C1": 1, "C2": 0}, "node": ["edge", "C2", "E1"], '
+                               '"script": [["edge", "C1", "C2"]]}}\n'),
+        ("ex63.graph", "text", 'witness: {"divisor": {"C1": 1, "C2": 0}, "node": ["edge", "C2", "E1"], '
+                               '"script": [["edge", "C1", "C2"]]}\n'),
+        ("ex62.graph", "json", '{"witness": null}\n'),
+        ("ex62.graph", "text", "witness: None\n"),
+    ])
+    def test_witness_bytes(self, capsys, name, fmt, expected):
+        assert invoke(capsys, "graph", f"fixture:{name}", "--op", "witness", "--format", fmt) == (
+            0, expected, ""
+        )
+
+    def test_format_dot_overrides_op(self, capsys):
+        assert invoke(capsys, "graph", "fixture:ex62.graph", "--format", "dot", "--op", "witness") == (
+            0, emit_dot(fixtures.load_fixture("ex62.graph")), ""
+        )
+
+    def test_help_lists_ops_in_order(self, capsys):
+        ops = "validate-cy,complexity,coregularity,index-integral,contract-chains,witness,dot"
+        code, out, _ = invoke(capsys, "graph", "--help")
+        assert code == 0 and f"--op {{{ops}}}" in out
 
     def test_empty_witness_search_exits_3(self, capsys):
         for flags in (("--depth", "-1"), ("--cap", "0")):
@@ -152,6 +188,12 @@ class TestGraphCommand:
         script = json.dumps([{"op": "blowup_corner", "edge": edge}])
         assert invoke(capsys, "graph", "fixture:p2.triangle", "--apply", script) == (
             2, "", f"error: blowup_corner edge must be an array of two vertex ids, got {edge!r}\n"
+        )
+
+    def test_blowup_interior_without_vertex_exits_2(self, capsys):
+        script = json.dumps([{"op": "blowup_interior"}])
+        assert invoke(capsys, "graph", "fixture:p2.nodal_cubic", "--apply", script) == (
+            2, "", "error: unknown script step {'op': 'blowup_interior'}\n"
         )
 
 
@@ -217,6 +259,22 @@ class TestFanCommand:
         code, _, _ = invoke(capsys, "fan", "[[2,0],[0,1],[-1,-1]]", "--op", "smooth")
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--op", "subdivide"), "subdivide needs --ray x,y"),
+        (("--op", "project"), "project needs --form a,b"),
+        (("--op", "prepare-projection"), "prepare-projection needs --form a,b"),
+        (("--op", "project", "--form", "1,2,3"), "--form must look like 'x,y'"),
+        (("--op", "prepare-projection", "--form", "1,2,3"), "--form must look like 'x,y'"),
+        (("--op", "subdivide", "--ray", "x"), "--ray must look like 'x,y'"),
+    ])
+    def test_missing_or_malformed_pair_exits_2(self, capsys, flags, message):
+        assert invoke(capsys, "fan", "fixture:p2.fan", *flags) == (2, "", f"error: {message}\n")
+
+    def test_help_lists_ops_in_order(self, capsys):
+        ops = "validate,smooth,self-intersections,complexity,resolve,subdivide,project,prepare-projection"
+        code, out, _ = invoke(capsys, "fan", "--help")
+        assert code == 0 and f"--op {{{ops}}}" in out
+
 
 class TestCatalogAndFixtures:
     def test_catalog_counts(self, capsys):
@@ -272,6 +330,13 @@ class TestDot:
         assert code == 0
         assert stdout == ""
         assert out.read_text().startswith("graph boundary {")
+
+    @pytest.mark.parametrize("where", ["missing-dir/x.json", "."])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        path = str(tmp_path / where)
+        code, stdout, err = invoke(capsys, "classify", "A1", "--out", path)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write --out {path!r}: ") and "Traceback" not in err
 
 
 class TestFixtureShapes:
