@@ -302,12 +302,12 @@ def reduced_volume(g: BoundaryGraph, components=None) -> Fraction:
 # -- exceptional ids -------------------------------------------------------
 
 
-def _fresh_id(g: BoundaryGraph, prefix: str = "E") -> str:
+def _fresh_id(g: BoundaryGraph) -> str:
     used = set(g.ids())
     k = 1
-    while f"{prefix}{k}" in used:
+    while f"E{k}" in used:
         k += 1
-    return f"{prefix}{k}"
+    return f"E{k}"
 
 
 def _surgery_result(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
@@ -654,17 +654,24 @@ def graph_to_json(g: BoundaryGraph) -> dict:
     return out
 
 
+def _json_int(value, field: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidGraph(f"malformed graph JSON: {field} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json(data: dict) -> BoundaryGraph:
     if not isinstance(data, dict) or "vertices" not in data:
         raise InvalidGraph("graph JSON needs a 'vertices' array")
     try:
         vs = [
-            (v["id"], as_rational(v["sq"]), as_rational(v.get("coeff", 1)), int(v.get("nodes", 0)))
+            (v["id"], as_rational(v["sq"]), as_rational(v.get("coeff", 1)),
+             _json_int(v.get("nodes", 0), "nodes"))
             for v in data["vertices"]
         ]
-        es = [(e["a"], e["b"], int(e.get("m", 1))) for e in data.get("edges", ())]
+        es = [(e["a"], e["b"], _json_int(e.get("m", 1), "m")) for e in data.get("edges", ())]
         mps = [tuple(p["branches"]) for p in data.get("marked_points", ())]
-        rho = int(data.get("rho", 1))
+        rho = _json_int(data.get("rho", 1), "rho")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed graph JSON: {exc}") from exc
     return BoundaryGraph.build(vs, es, mps, rho)

@@ -70,15 +70,13 @@ class FiberSpec:
     node_at: str = SMOOTH_POINT
 
     def __post_init__(self):
-        if self.rel_picard_rank not in (1, 2):
+        rank = self.rel_picard_rank
+        if rank not in (1, 2):
             raise FiberError("relative Picard rank must be 1 or 2")
         # standard-model accounting: one horizontal component per unit of
         # relative rank below the relative dimension
-        expected = 1 if self.rel_picard_rank == 1 else 2
-        if len(self.components) != expected:
-            raise FiberError(
-                f"rank-{self.rel_picard_rank} fiber needs exactly {expected} boundary components"
-            )
+        if len(self.components) != rank:
+            raise FiberError(f"rank-{rank} fiber needs exactly {rank} boundary components")
         if self.volume <= 0:
             raise FiberError("fiber volume must be positive")
         node_location(self.node_at)
@@ -451,17 +449,26 @@ def fiber_to_json(f: FiberSpec) -> dict:
     }
 
 
+def _json_bool(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise FiberError(f"malformed fiber JSON: {field} must be true or false, got {value!r}")
+    return value
+
+
 def fiber_from_json(data: dict) -> FiberSpec:
     if not isinstance(data, dict) or "rank" not in data:
         raise FiberError("fiber JSON needs a 'rank' field")
     try:
         node = data.get("node", {})
         return FiberSpec.build(
-            components=[(c["sq"], c.get("irreducible", True)) for c in data["components"]],
-            has_node=bool(node.get("present", False)),
+            components=[
+                (c["sq"], _json_bool(c.get("irreducible", True), "irreducible"))
+                for c in data["components"]
+            ],
+            has_node=_json_bool(node.get("present", False), "node.present"),
             volume=data["volume"],
             rank=data["rank"],
-            smooth_locus=bool(data.get("smooth_locus", True)),
+            smooth_locus=_json_bool(data.get("smooth_locus", True), "smooth_locus"),
             node_at=node_location(node.get("at", SMOOTH_POINT)),
         )
     except (KeyError, TypeError, ValueError) as exc:

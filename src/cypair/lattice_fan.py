@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 
@@ -73,21 +72,6 @@ def det(u: RayVector, v: RayVector) -> int:
 
 
 @dataclass(frozen=True)
-class Covector:
-    """Integer linear form L(x, y) = a*x + b*y."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if (self.a, self.b) == (0, 0):
-            raise FanError("covector must be nonzero")
-
-    def __call__(self, u: RayVector) -> int:
-        return self.a * u.x + self.b * u.y
-
-
-@dataclass(frozen=True)
 class FibrationData:
     """Classification of rays under a toric morphism to the projective line.
 
@@ -125,6 +109,14 @@ def _as_ray(v) -> RayVector:
     return RayVector(int(x), int(y))
 
 
+def _as_form(L) -> tuple[int, int]:
+    """Coefficients (a, b) of the nonzero linear form L(x, y) = a*x + b*y."""
+    a, b = int(L[0]), int(L[1])
+    if (a, b) == (0, 0):
+        raise FanError("covector must be nonzero")
+    return a, b
+
+
 def _sector(u: RayVector) -> int:
     # counterclockwise quadrant classes starting at the positive x-axis
     if u.x > 0 and u.y >= 0:
@@ -151,25 +143,18 @@ def make_fan(rays) -> Fan2:
     not divided out) and listed counterclockwise.  The result is rotated so
     the lexicographically smallest ray comes first; fan equality is then
     plain list equality.
+
+    Distinct primitive rays have distinct angles, so going once round a
+    cyclic list of them the angle drops at least once, and it drops
+    exactly once iff the list is a rotation of the angular order.
     """
-    if not rays:
-        raise NotComplete("a complete fan needs at least 3 rays")
     vs = [_as_ray(r) for r in rays]
     n = len(vs)
     if n < 3:
         raise NotComplete("a complete fan needs at least 3 rays")
     if len(set(vs)) != n:
         raise NotCyclicallyOrdered("duplicate ray")
-    # strictly increasing angle up to cyclic rotation
-    def cmp(i: int, j: int) -> int:
-        if vs[i] == vs[j]:
-            return 0
-        return -1 if _ccw_before(vs[i], vs[j]) else 1
-
-    order = sorted(range(n), key=cmp_to_key(cmp))
-    pos = order.index(0)
-    sorted_cyclic = order[pos:] + order[:pos]
-    if sorted_cyclic != list(range(n)):
+    if sum(_ccw_before(vs[i], vs[i - 1]) for i in range(n)) != 1:
         raise NotCyclicallyOrdered("rays are not in counterclockwise cyclic order")
     for i in range(n):
         if det(vs[i], vs[(i + 1) % n]) <= 0:
@@ -189,22 +174,14 @@ def self_intersections(fan: Fan2) -> list[int]:
 
     On a smooth complete fan the neighbours of each ray satisfy
     u_{i-1} + u_{i+1} = -c_i u_i with c_i the self-intersection of the
-    divisor of u_i.
+    divisor of u_i.  Taking det(u_{i-1}, .) of both sides and using
+    det(u_{i-1}, u_i) = 1 gives c_i = -det(u_{i-1}, u_{i+1}).
     """
     if not is_smooth(fan):
         raise NotSmooth("self-intersections are defined on smooth fans; resolve first")
     rays = fan.rays
     n = len(rays)
-    out = []
-    for i in range(n):
-        u = rays[i]
-        sx = rays[i - 1].x + rays[(i + 1) % n].x
-        sy = rays[i - 1].y + rays[(i + 1) % n].y
-        c = -(sx // u.x) if u.x != 0 else -(sy // u.y)
-        if (-c * u.x, -c * u.y) != (sx, sy):
-            raise NotSmooth(f"ray relation fails at ray {i}")
-        out.append(c)
-    return out
+    return [-det(rays[i - 1], rays[(i + 1) % n]) for i in range(n)]
 
 
 def toric_pair_complexity(fan: Fan2) -> Fraction:
@@ -253,14 +230,12 @@ def p1_projection(fan: Fan2, L) -> FibrationData:
     signs of L.  A straddling cone means a star subdivision along ker L is
     required first (see subdivide_for_projection).
     """
-    if not isinstance(L, Covector):
-        L = Covector(int(L[0]), int(L[1]))
+    a, b = _as_form(L)
     rays = fan.rays
     n = len(rays)
-    values = [L(u) for u in rays]
+    values = [a * u.x + b * u.y for u in rays]
     for i in range(n):
-        a, b = values[i], values[(i + 1) % n]
-        if (a > 0 and b < 0) or (a < 0 and b > 0):
+        if values[i] * values[(i + 1) % n] < 0:
             raise NoToricMorphism(
                 f"cone <{rays[i].as_pair()}, {rays[(i + 1) % n].as_pair()}> straddles ker L; "
                 "star-subdivide along the kernel first"
@@ -278,25 +253,18 @@ def _primitive(x: int, y: int) -> RayVector:
 
 
 def subdivide_for_projection(fan: Fan2, L) -> Fan2:
-    """Insert kernel rays of L where a cone straddles ker L.
+    """Star-subdivide at each direction of ker L that is not yet a ray.
 
-    Both kernel directions are inserted when each lies inside a straddling
-    cone (at most two insertions); afterwards p1_projection succeeds.
+    Such a direction k lies strictly inside exactly one cone <u, w>, so
+    k = alpha*u + beta*w with alpha, beta > 0, and L(k) = 0 forces L(u)
+    and L(w) to be nonzero with opposite signs: that cone straddles ker L.
+    After these (at most two) insertions p1_projection succeeds.
     """
-    if not isinstance(L, Covector):
-        L = Covector(int(L[0]), int(L[1]))
+    a, b = _as_form(L)
     out = fan
-    for k in (_primitive(-L.b, L.a), _primitive(L.b, -L.a)):
-        if k in out.rays:
-            continue
-        rays = out.rays
-        n = len(rays)
-        for i in range(n):
-            u, w = rays[i], rays[(i + 1) % n]
-            if det(u, k) > 0 and det(k, w) > 0:
-                if (L(u) > 0 and L(w) < 0) or (L(u) < 0 and L(w) > 0):
-                    out = star_subdivide(out, k)
-                break
+    for k in (_primitive(-b, a), _primitive(b, -a)):
+        if k not in out.rays:
+            out = star_subdivide(out, k)
     return out
 
 

@@ -376,6 +376,18 @@ class TestJson:
         coeffs = {v["id"]: v["coeff"] for v in data["vertices"]}
         assert coeffs["D1"] == "1/2"
 
+    @pytest.mark.parametrize("bad", [0.9, 1.0, "1", True, None])
+    def test_counts_are_json_integers(self, bad):
+        def spec(nodes=1, m=1, rho=1):
+            return {"rho": rho, "vertices": [{"id": "L", "sq": 1, "nodes": nodes}, {"id": "M", "sq": 1}],
+                    "edges": [{"a": "L", "b": "M", "m": m}]}
+
+        g = bg.graph_from_json(spec())
+        assert (g.vertex("L").nodes, g.edges[0].multiplicity, g.picard_rank) == (1, 1, 1)
+        for field in ("nodes", "m", "rho"):
+            with pytest.raises(bg.InvalidGraph, match=f"{field} must be an integer"):
+                bg.graph_from_json(spec(**{field: bad}))
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 4))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -112,6 +113,19 @@ class TestCheckFiber:
             2, "", "error: node location must be a string, got 5\n"
         )
 
+    @pytest.mark.parametrize("field, value, spec", [
+        ("irreducible", "no", {"components": [{"sq": 4, "irreducible": "no"}]}),
+        ("irreducible", 0, {"components": [{"sq": 4, "irreducible": 0}]}),
+        ("node.present", 1, {"components": [{"sq": 4}], "node": {"present": 1}}),
+        ("smooth_locus", "false", {"components": [{"sq": 4}], "smooth_locus": "false"}),
+        ("smooth_locus", None, {"components": [{"sq": 4}], "smooth_locus": None}),
+    ])
+    def test_non_boolean_flag_exits_2(self, capsys, field, value, spec):
+        spec = json.dumps({"rank": 1, "volume": 4, **spec})
+        assert invoke(capsys, "check-fiber", spec) == (
+            2, "", f"error: malformed fiber JSON: {field} must be true or false, got {value!r}\n"
+        )
+
 
 class TestGraphCommand:
     def test_validate_cy(self, capsys):
@@ -196,6 +210,31 @@ class TestGraphCommand:
             2, "", "error: unknown script step {'op': 'blowup_interior'}\n"
         )
 
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", 0.9), ("nodes", "1"), ("nodes", True), ("m", 1.5), ("m", False),
+        ("rho", "2"), ("rho", 1.0), ("rho", None),
+    ])
+    def test_non_integer_count_exits_2(self, capsys, field, value):
+        counts = {"nodes": 0, "m": 1, "rho": 1, field: value}
+        spec = {
+            "rho": counts["rho"],
+            "vertices": [{"id": "L", "sq": 1, "nodes": counts["nodes"]}, {"id": "M", "sq": 1}],
+            "edges": [{"a": "L", "b": "M", "m": counts["m"]}],
+        }
+        assert invoke(capsys, "graph", json.dumps(spec)) == (
+            2, "", f"error: malformed graph JSON: {field} must be an integer, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("name, step, kwargs", [
+        ("p2.triangle", {"op": "blowup_corner", "edge": ["L1", "L2"]}, {"edge": ("L1", "L2")}),
+        ("p2.nodal_cubic", {"op": "blowup_corner", "node": "B"}, {"node": "B"}),
+    ])
+    def test_blowup_corner_step(self, capsys, name, step, kwargs):
+        expected = bg.blowup_corner(fixtures.load_fixture(name), **kwargs)
+        assert invoke(
+            capsys, "graph", f"fixture:{name}", "--apply", json.dumps([step]), "--format", "dot"
+        ) == (0, emit_dot(expected), "")
+
 
 class TestSharedParser:
     def test_built_once(self):
@@ -259,6 +298,21 @@ class TestFanCommand:
         code, _, _ = invoke(capsys, "fan", "[[2,0],[0,1],[-1,-1]]", "--op", "smooth")
         assert code == 2
 
+    def test_subdivide(self, capsys):
+        fan = lf.star_subdivide(fixtures.load_fixture("p2.fan"), (1, 1))
+        assert invoke(capsys, "fan", "fixture:p2.fan", "--op", "subdivide", "--ray", "1,1") == (
+            0, json.dumps({"rays": lf.fan_to_json(fan)}) + "\n", ""
+        )
+
+    def test_spec_from_file_and_stdin(self, capsys, monkeypatch, tmp_path):
+        rays = [[1, 0], [1, 1], [0, 1], [-1, -1]]
+        expected = json.dumps({"self_intersections": lf.self_intersections(lf.make_fan(rays))}) + "\n"
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(rays), encoding="utf-8")
+        assert invoke(capsys, "fan", str(path), "--op", "self-intersections") == (0, expected, "")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(rays)))
+        assert invoke(capsys, "fan", "-", "--op", "self-intersections") == (0, expected, "")
+
     @pytest.mark.parametrize("flags, message", [
         (("--op", "subdivide"), "subdivide needs --ray x,y"),
         (("--op", "project"), "project needs --form a,b"),
@@ -294,6 +348,17 @@ class TestCatalogAndFixtures:
     def test_fixture_dump_roundtrips(self, capsys):
         data = invoke_json(capsys, "fixture", "ex64.pair")
         assert bg.graph_from_json(data["graph"]) == fixtures.load_fixture("ex64.pair")
+
+    @pytest.mark.parametrize("name, payload", [
+        ("ex62.pic1", lambda obj: {"kind": "fiber", "fiber": fc.fiber_to_json(obj)}),
+        ("p123.fan", lambda obj: {"kind": "fan", "rays": lf.fan_to_json(obj)}),
+    ])
+    def test_fixture_dump_fiber_and_fan(self, capsys, name, payload):
+        expected = json.dumps(payload(fixtures.load_fixture(name)), sort_keys=True) + "\n"
+        assert invoke(capsys, "fixture", name) == (0, expected, "")
+
+    def test_fixture_needs_a_name_or_list(self, capsys):
+        assert invoke(capsys, "fixture") == (2, "", "error: pass a fixture name or --list\n")
 
 
 class TestDot:

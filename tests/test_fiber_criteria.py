@@ -349,3 +349,17 @@ class TestJson:
     def test_bad_rank(self):
         with pytest.raises(fc.FiberError):
             fc.fiber_from_json({"components": []})
+
+    @pytest.mark.parametrize("bad", ["no", "true", 0, 1, None, []])
+    def test_flags_are_json_booleans(self, bad):
+        def spec(irreducible=False, present=True, smooth_locus=False):
+            return {"rank": 1, "components": [{"sq": 4, "irreducible": irreducible}], "volume": 4,
+                    "node": {"present": present}, "smooth_locus": smooth_locus}
+
+        f = fc.fiber_from_json(spec())
+        assert (f.components[0].irreducible_over_base, f.has_node, f.boundary_in_smooth_locus) == (
+            False, True, False
+        )
+        for field in ("irreducible", "present", "smooth_locus"):
+            with pytest.raises(fc.FiberError, match="must be true or false"):
+                fc.fiber_from_json(spec(**{field: bad}))

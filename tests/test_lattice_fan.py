@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference_fan as ref
 from helpers import random_singular_fan, random_smooth_fan
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,6 +264,107 @@ class TestNoetherSum:
         for _ in range(30):
             fan = random_smooth_fan(rng)
             assert sum(lf.self_intersections(fan)) == 12 - 3 * len(fan.rays)
+
+
+FORMS = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if (a, b) != (0, 0)]
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the class and message of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def ray_list_variants(rng, fan):
+    """Ray lists around a fan: rotated, reversed, shuffled, with a duplicate,
+    cut to a cyclic window, and closed off by a gap of exactly pi."""
+    pairs = [u.as_pair() for u in fan.rays]
+    k = rng.randrange(len(pairs))
+    rotated = pairs[k:] + pairs[:k]
+    shuffled = rotated[:]
+    rng.shuffle(shuffled)
+    duplicated = rotated[:]
+    duplicated.insert(rng.randrange(len(pairs) + 1), rng.choice(pairs))
+    window = rotated[: rng.randint(1, len(pairs))]
+    u = rotated[0]
+    half = [u] + [r for r in rotated[1:] if u[0] * r[1] - u[1] * r[0] > 0] + [(-u[0], -u[1])]
+    return [rotated, rotated[::-1], shuffled, duplicated, window, half]
+
+
+def kernel_form(u):
+    """A form whose kernel is spanned by the ray u."""
+    return (-u.y, u.x)
+
+
+class TestFanMatchesReference:
+    """make_fan, self_intersections, p1_projection and subdivide_for_projection
+    against the pre-simplification code in tests/reference_fan.py."""
+
+    def assert_same(self, fn, ref_fn, *args):
+        got = outcome(fn, *args)
+        assert got == outcome(ref_fn, *args), args
+        return got
+
+    def check_projections(self, fan, form, seen):
+        got = self.assert_same(lf.subdivide_for_projection, ref.subdivide_for_projection, fan, form)
+        before = self.assert_same(lf.p1_projection, ref.p1_projection, fan, form)
+        seen.add(("projection", before[0] == "value"))
+        if got[0] == "value":
+            seen.add(("inserted", len(got[1]) - len(fan)))
+            self.assert_same(lf.p1_projection, ref.p1_projection, got[1], form)
+
+    def test_random_fans(self):
+        rng = random.Random(2024)
+        seen = set()
+        for n in range(2000):
+            fan = random_singular_fan(rng) if n % 5 < 3 else random_smooth_fan(rng)
+            for rays in ray_list_variants(rng, fan):
+                got = self.assert_same(lf.make_fan, ref.make_fan, rays)
+                seen.add(got if got[0] == "raised" else "fan")
+            got = self.assert_same(lf.self_intersections, ref.self_intersections, fan)
+            seen.add(("self_intersections", got[0]))
+            self.check_projections(fan, rng.choice(FORMS), seen)
+            self.check_projections(fan, kernel_form(rng.choice(fan.rays)), seen)
+        assert seen >= {
+            "fan",
+            ("raised", lf.NotCyclicallyOrdered, "duplicate ray"),
+            ("raised", lf.NotCyclicallyOrdered, "rays are not in counterclockwise cyclic order"),
+            ("raised", lf.NotComplete, "a complete fan needs at least 3 rays"),
+            ("raised", lf.NotComplete, "angle gap of at least pi between consecutive rays"),
+            ("self_intersections", "value"),
+            ("self_intersections", "raised"),
+            ("projection", True),
+            ("projection", False),
+            ("inserted", 0),
+            ("inserted", 1),
+            ("inserted", 2),
+        }
+
+    def test_every_small_form(self):
+        rng = random.Random(5)
+        fans = [lf.make_fan(P2), lf.make_fan(PRODUCT), lf.make_fan([(1, 0), (1, 3), (-1, -1), (2, -5)])]
+        fans += [random_singular_fan(rng) for _ in range(10)] + [random_smooth_fan(rng) for _ in range(10)]
+        seen = set()
+        for fan in fans:
+            for form in FORMS:
+                self.check_projections(fan, form, seen)
+        assert {("inserted", 0), ("inserted", 1), ("inserted", 2)} <= seen
+
+    @pytest.mark.parametrize("rays", [
+        [], [(1, 0)], [(1, 0), (0, 1)], [(2, 0), (0, 1), (-1, -1)], [(0, 0), (0, 1), (-1, -1)],
+        [(1, 0, 0), (0, 1), (-1, -1)], [("a", 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, 0)],
+        [(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 0), (0, 1), (-1, 1)],
+    ])
+    def test_malformed_ray_lists(self, rays):
+        self.assert_same(lf.make_fan, ref.make_fan, rays)
+
+    @pytest.mark.parametrize("form", [(0, 0), ("x", 1), (1,), 5, (1, 0, 7), ("2", "-3")])
+    def test_malformed_forms(self, form):
+        fan = lf.make_fan(P2)
+        self.assert_same(lf.p1_projection, ref.p1_projection, fan, form)
+        self.assert_same(lf.subdivide_for_projection, ref.subdivide_for_projection, fan, form)
 
 
 class TestJson:
