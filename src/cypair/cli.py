@@ -145,7 +145,10 @@ def _boundary_from_json(data) -> object:
     if kind == "nodal_smooth_locus":
         return atlas.NodalSmoothLocus()
     if kind == "nodal_at_A":
-        return atlas.NodalAtA(int(data["n"]))
+        n = data["n"]
+        if type(n) is not int:
+            raise CliInputError(f"boundary n must be an integer, got {n!r}")
+        return atlas.NodalAtA(n)
     raise CliInputError(f"unknown boundary kind {kind!r}")
 
 

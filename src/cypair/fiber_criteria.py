@@ -83,12 +83,7 @@ class FiberSpec:
 
     @staticmethod
     def build(components, has_node, volume, rank, smooth_locus=True, node_at=SMOOTH_POINT):
-        comps = tuple(
-            c
-            if isinstance(c, FiberComponent)
-            else FiberComponent(as_rational(c[0]), bool(c[1]))
-            for c in components
-        )
+        comps = tuple(FiberComponent(as_rational(sq), bool(irr)) for sq, irr in components)
         return FiberSpec(
             comps, bool(has_node), as_rational(volume), int(rank), bool(smooth_locus), node_at
         )
@@ -111,6 +106,23 @@ class WeightedCornerData:
     c1_dot_c2: Fraction = Fraction(1)
 
 
+def _criterion(f: FiberSpec, rank: int, condition_3: bool) -> Verdict:
+    """The body shared by the two criteria: guards, then the failed conditions.
+
+    Condition (1) is a node of the fiber boundary and (2) the irreducibility
+    of every component over the base; (3) is the rank's own condition.
+    """
+    if f.rel_picard_rank != rank:
+        raise WrongRank(f"check_pic{rank} needs relative Picard rank {rank}")
+    if not f.boundary_in_smooth_locus:
+        raise BoundaryMeetsSingularities(
+            "standard models keep the fiber boundary in the smooth locus"
+        )
+    irreducible = all(c.irreducible_over_base for c in f.components)
+    failed = tuple(i for i, ok in enumerate((f.has_node, irreducible, condition_3), 1) if not ok)
+    return Verdict(not failed, failed)
+
+
 def check_pic2(f: FiberSpec) -> Verdict:
     """Relative-rank-two criterion.
 
@@ -118,20 +130,7 @@ def check_pic2(f: FiberSpec) -> Verdict:
     boundary component restricts irreducibly to the fiber, and (3) some
     fiber component has positive self-intersection.
     """
-    if f.rel_picard_rank != 2:
-        raise WrongRank("check_pic2 needs relative Picard rank 2")
-    if not f.boundary_in_smooth_locus:
-        raise BoundaryMeetsSingularities(
-            "standard models keep the fiber boundary in the smooth locus"
-        )
-    failed = []
-    if not f.has_node:
-        failed.append(1)
-    if not all(c.irreducible_over_base for c in f.components):
-        failed.append(2)
-    if not any(c.self_int > 0 for c in f.components):
-        failed.append(3)
-    return Verdict(not failed, tuple(failed))
+    return _criterion(f, 2, any(c.self_int > 0 for c in f.components))
 
 
 def check_pic1(f: FiberSpec) -> Verdict:
@@ -140,20 +139,7 @@ def check_pic1(f: FiberSpec) -> Verdict:
     Cluster type iff the single boundary component is nodal, irreducible
     over the base, and the fiber volume is at least 5.
     """
-    if f.rel_picard_rank != 1:
-        raise WrongRank("check_pic1 needs relative Picard rank 1")
-    if not f.boundary_in_smooth_locus:
-        raise BoundaryMeetsSingularities(
-            "standard models keep the fiber boundary in the smooth locus"
-        )
-    failed = []
-    if not f.has_node:
-        failed.append(1)
-    if not f.components[0].irreducible_over_base:
-        failed.append(2)
-    if not f.volume >= 5:
-        failed.append(3)
-    return Verdict(not failed, tuple(failed))
+    return _criterion(f, 1, f.volume >= 5)
 
 
 def node_blowup_reduce(f: FiberSpec) -> FiberSpec:
@@ -303,47 +289,6 @@ def _first_divisor(gram: list[list[int]], allowed, cap: int) -> list[int] | None
     return m if n and extend(0, 0, 0) else None
 
 
-def _divisor_witness(g: bg.BoundaryGraph, index: dict, cap: int):
-    """The first (divisor, node) of graph ``g`` in the scan order, or None.
-
-    Multiplicities range over the original components, the keys of
-    ``index`` in the fiber's order; the form is the Gram matrix of their
-    strict transforms scaled by the common denominator of the
-    self-intersections, which keeps its sign exact.
-    A boundary node is missed by a divisor when none of its original
-    components is in the support; the first missed node in sorted order
-    is memoized per support.
-    """
-    by_id = {v.id: v for v in g.vertices}
-    sqs = [by_id[vid].self_int for vid in index]
-    scale = lcm(*(s.denominator for s in sqs))
-    gram = [[0] * len(sqs) for _ in sqs]
-    for i, s in enumerate(sqs):
-        gram[i][i] = s.numerator * (scale // s.denominator)
-    for e in g.edges:
-        if e.a in index and e.b in index:
-            i, j = index[e.a], index[e.b]
-            gram[i][j] = gram[j][i] = scale * e.multiplicity
-    if _negative_definite(gram):
-        return None
-    nodes = _boundary_nodes(g)
-    masks = [sum(1 << index[vid] for vid in node[1:] if vid in index) for node in nodes]
-    first: dict[int, tuple | None] = {}
-
-    def first_node(support: int):
-        if support not in first:
-            first[support] = next(
-                (node for node, mask in zip(nodes, masks) if not mask & support), None
-            )
-        return first[support]
-
-    m = _first_divisor(gram, lambda support: first_node(support) is not None, cap)
-    if m is None:
-        return None
-    support = sum(1 << i for i, x in enumerate(m) if x)
-    return dict(zip(index, m)), first_node(support)
-
-
 def _search_key(g: bg.BoundaryGraph, index: dict) -> tuple:
     """What the witness search reads of a blow-up of the fiber.
 
@@ -359,6 +304,33 @@ def _search_key(g: bg.BoundaryGraph, index: dict) -> tuple:
         i, j = index.get(e.a, -1), index.get(e.b, -1)
         edges.append((min(i, j), max(i, j), e.multiplicity))
     return originals, tuple(sorted(edges))
+
+
+def _divisor_witness(key: tuple, cap: int) -> list[int] | None:
+    """The first divisor in the scan order of a graph with ``_search_key``
+    ``key``, as multiplicities of the original components, or None.
+
+    The form is the Gram matrix of the originals' strict transforms scaled
+    by the common denominator of their self-intersections, which keeps its
+    sign exact.  Each boundary node has the bitmask of the originals
+    through it: an edge its original endpoints (i >= 0 makes both ends
+    original, as i <= j), a self-node its own curve.  A divisor is allowed
+    while some mask misses its support.
+    """
+    originals, edges = key
+    sqs = [s for s, _ in originals]
+    scale = lcm(*(s.denominator for s in sqs))
+    gram = [[0] * len(sqs) for _ in sqs]
+    for i, s in enumerate(sqs):
+        gram[i][i] = s.numerator * (scale // s.denominator)
+    masks = {1 << i for i, (_, nodes) in enumerate(originals) if nodes}
+    for i, j, m in edges:
+        if i >= 0:
+            gram[i][j] = gram[j][i] = scale * m
+        masks.add(sum(1 << k for k in (i, j) if k >= 0))
+    if _negative_definite(gram):
+        return None
+    return _first_divisor(gram, lambda support: any(not mask & support for mask in masks), cap)
 
 
 def prop51_witness_search(
@@ -383,9 +355,10 @@ def prop51_witness_search(
       whose support already meets every boundary node is skipped whole,
       before any form is evaluated.
     - A graph is dropped from the frontier when its ``_search_key`` was
-      already seen, at this depth or an earlier one.  The key fixes the
-      Gram matrix and which original components pass through each
-      boundary node, so it fixes the scan's outcome.  It also fixes the
+      already seen, at this depth or an earlier one.  The scan,
+      ``_divisor_witness``, reads nothing but the key, so equal keys give
+      equal scans; only the witness's boundary node is named afterwards,
+      on the one graph that has the witness.  The key also fixes the
       multiset of the keys of the graph's children, because exceptional
       curves never carry nodes and marked points (which can refuse a
       corner blow-up) name only original components.  So every subtree
@@ -408,18 +381,22 @@ def prop51_witness_search(
     if not bg.is_calabi_yau(fiber):
         raise PreconditionFailed("witness search needs a Calabi-Yau balanced graph")
     index = {vid: i for i, vid in enumerate(fiber.ids())}
-    seen = {_search_key(fiber, index)}
-    frontier: list[tuple[bg.BoundaryGraph, tuple]] = [(fiber, ())]
+    key = _search_key(fiber, index)
+    seen = {key}
+    frontier: list[tuple[bg.BoundaryGraph, tuple, tuple]] = [(fiber, (), key)]
     for depth in range(max_blowups + 1):
-        for g, script in frontier:
-            found = _divisor_witness(g, index, coeff_cap)
-            if found:
-                m, node = found
-                return Witness(script, m, node)
+        for g, script, key in frontier:
+            m = _divisor_witness(key, coeff_cap)
+            if m is not None:
+                divisor = dict(zip(index, m))
+                node = next(
+                    t for t in _boundary_nodes(g) if not any(divisor.get(v) for v in t[1:])
+                )
+                return Witness(script, divisor, node)
         if depth == max_blowups:
             break
         nxt = []
-        for g, script in frontier:
+        for g, script, _ in frontier:
             for target in _boundary_nodes(g):
                 if target[0] == "edge":
                     g2 = bg.blowup_corner(g, edge=(target[1], target[2]))
@@ -428,7 +405,7 @@ def prop51_witness_search(
                 key = _search_key(g2, index)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append((g2, script + (target,)))
+                    nxt.append((g2, script + (target,), key))
         frontier = nxt
     return None
 
@@ -458,6 +435,8 @@ def _json_bool(value, field: str) -> bool:
 def fiber_from_json(data: dict) -> FiberSpec:
     if not isinstance(data, dict) or "rank" not in data:
         raise FiberError("fiber JSON needs a 'rank' field")
+    if type(data["rank"]) is not int:
+        raise FiberError(f"malformed fiber JSON: rank must be an integer, got {data['rank']!r}")
     try:
         node = data.get("node", {})
         return FiberSpec.build(

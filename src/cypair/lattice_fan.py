@@ -332,4 +332,7 @@ def fan_to_json(fan: Fan2) -> list[list[int]]:
 def fan_from_json(data) -> Fan2:
     if not isinstance(data, list):
         raise FanError("fan JSON must be an array of [x, y] pairs")
+    for ray in data:
+        if isinstance(ray, list) and any(isinstance(c, (bool, float)) for c in ray):
+            raise FanError(f"fan ray coordinates must be integers, got {ray!r}")
     return make_fan(data)

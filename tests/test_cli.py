@@ -87,6 +87,13 @@ class TestDecidePair:
             2, "", f"error: bad pair spec: singularities must be a string, got {sings!r}\n"
         )
 
+    @pytest.mark.parametrize("n", ["x", "3", 2.7, 3.0, True, None])
+    def test_non_integer_node_index_exits_2(self, capsys, n):
+        spec = json.dumps({"singularities": "A4", "boundary": {"kind": "nodal_at_A", "n": n}})
+        assert invoke(capsys, "decide-pair", spec) == (
+            2, "", f"error: boundary n must be an integer, got {n!r}\n"
+        )
+
 
 class TestCheckFiber:
     def test_rank_one_volume_four(self, capsys):
@@ -124,6 +131,13 @@ class TestCheckFiber:
         spec = json.dumps({"rank": 1, "volume": 4, **spec})
         assert invoke(capsys, "check-fiber", spec) == (
             2, "", f"error: malformed fiber JSON: {field} must be true or false, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("rank", [1.9, 1.0, True, "1", None])
+    def test_non_integer_rank_exits_2(self, capsys, rank):
+        spec = json.dumps({"rank": rank, "components": [{"sq": 4}], "volume": 4})
+        assert invoke(capsys, "check-fiber", spec) == (
+            2, "", f"error: malformed fiber JSON: rank must be an integer, got {rank!r}\n"
         )
 
 
@@ -297,6 +311,13 @@ class TestFanCommand:
     def test_invalid_fan_exits_2(self, capsys):
         code, _, _ = invoke(capsys, "fan", "[[2,0],[0,1],[-1,-1]]", "--op", "smooth")
         assert code == 2
+
+    @pytest.mark.parametrize("ray", [[-1, -1.5], [-1.0, -1], [True, -1], [-1, False]])
+    def test_non_integer_ray_coordinate_exits_2(self, capsys, ray):
+        spec = json.dumps([[1, 0], [0, 1], ray])
+        assert invoke(capsys, "fan", spec, "--op", "smooth") == (
+            2, "", f"error: fan ray coordinates must be integers, got {ray!r}\n"
+        )
 
     def test_subdivide(self, capsys):
         fan = lf.star_subdivide(fixtures.load_fixture("p2.fan"), (1, 1))

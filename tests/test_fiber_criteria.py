@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 import reference_witness
@@ -296,6 +297,116 @@ class TestPrunedSearchMatchesReference:
         )
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
         assert (len(examined), len(scanned)) == (26, 1)
+
+
+def _cycle(sqs) -> bg.BoundaryGraph:
+    k = len(sqs)
+    return bg.BoundaryGraph.build(
+        [(f"C{i}", s, 1) for i, s in enumerate(sqs)],
+        [(f"C{i}", f"C{(i + 1) % k}") for i in range(k)],
+        rho=k,
+    )
+
+
+def _bracelets(values, k):
+    """Self-intersection tuples of k-cycles, one per rotation and reflection."""
+    for sqs in product(values, repeat=k):
+        turns = [sqs[i:] + sqs[:i] for i in range(k)]
+        if sqs == min(turns + [t[::-1] for t in turns]):
+            yield sqs
+
+
+class TestSearchMatchesPrunedReference:
+    """Depths 3 and 4, out of the brute-force oracle's reach: the search
+    must match the pruned search whose scan read each graph.  No witness
+    in these families needs more than two blow-ups, so the deep frontiers
+    are checked through the graphs on which both searches find nothing."""
+
+    def _check(self, cases):
+        outcomes = []
+        for g, depth, cap in cases:
+            got = _search_outcome(fc.prop51_witness_search, g, depth, cap)
+            want = _search_outcome(reference_witness.pruned_witness_search, g, depth, cap)
+            assert got == want, (g, depth, cap)
+            outcomes.append(got)
+        return outcomes
+
+    @staticmethod
+    def _depths(outcomes):
+        """Script lengths of the witnesses found, and None for no witness."""
+        return {len(w.script) if w else None for kind, w, _ in outcomes if kind == "returned"}
+
+    def test_every_graph_fixture(self):
+        graphs = [
+            fixtures.load_fixture(name)
+            for name in fixtures.fixture_names()
+            if fixtures.fixture_kind(name) == "graph"
+        ]
+        self._check((g, depth, cap) for g in graphs for depth in (3, 4) for cap in range(1, 7))
+
+    def test_nodal_curves_and_curve_pairs(self):
+        # two curves meeting twice, and two disjoint nodal curves, where a
+        # divisor on one curve can miss the other curve's node
+        nodal = [bg.BoundaryGraph.build([("B", s, 1, 1)], rho=1) for s in range(-4, 12)]
+        pairs = []
+        for a in range(-4, 4):
+            for b in range(-4, a + 1):
+                pairs.append(bg.BoundaryGraph.build(
+                    [("C1", a, 1), ("C2", b, 1)], [("C1", "C2", 2)], rho=2
+                ))
+                pairs.append(bg.BoundaryGraph.build([("B", a, 1, 1), ("C", b, 1, 1)], rho=2))
+        outcomes = self._check((g, depth, 6) for g in nodal + pairs for depth in (3, 4))
+        assert self._depths(outcomes) == {None, 0, 1, 2}
+
+    def test_cycles(self):
+        cases = [(_cycle(sqs), depth, 6) for sqs in _bracelets(range(-4, 1), 3) for depth in (3, 4)]
+        cases += [(_cycle(sqs), 4, 6) for sqs in _bracelets(range(-4, 1), 4)]
+        outcomes = self._check(cases)
+        assert self._depths(outcomes) == {None, 0}
+
+    def test_non_integral_self_intersections(self):
+        for sqs in ((Fr(7, 2), -1), (Fr(-5, 2), Fr(1, 3)), (Fr(-4, 3), Fr(1, 3))):
+            g = bg.BoundaryGraph.build(
+                [("C1", sqs[0], 1), ("C2", sqs[1], 1)], [("C1", "C2", 2)], rho=2
+            )
+            self._check((g, depth, cap) for depth in (3, 4) for cap in (1, 3, 6))
+
+    def test_random_fibers(self):
+        rng = random.Random(20261018)
+        cases = [(random_witness_fiber(rng), rng.randint(3, 4), rng.randint(1, 6)) for _ in range(200)]
+        outcomes = self._check(cases)
+        assert {kind for kind, _, _ in outcomes} == {"raised", "returned"}
+        assert self._depths(outcomes) == {None, 0, 1, 2}
+        assert any(g.marked_points for g, _, _ in cases)
+
+
+def _criterion_outcome(check, f):
+    """The verdict, or the class and message of the error raised."""
+    try:
+        return check(f)
+    except fc.FiberError as exc:
+        return type(exc), str(exc)
+
+
+class TestCriteriaMatchReference:
+    def test_full_grid(self):
+        sqs = (-1, 0, Fr(1, 2), 1)
+        outcomes = set()
+        for rank in (1, 2):
+            for comps in product(product(sqs, (True, False)), repeat=rank):
+                for node, volume, smooth in product(
+                    (True, False), (4, Fr(9, 2), 5, 6), (True, False)
+                ):
+                    f = fc.FiberSpec.build(comps, node, volume, rank, smooth)
+                    for check in ("check_pic1", "check_pic2"):
+                        got = _criterion_outcome(getattr(fc, check), f)
+                        want = _criterion_outcome(getattr(reference_witness, check), f)
+                        assert got == want, (check, f)
+                        outcomes.add(got)
+        errors = {o[0] for o in outcomes if not isinstance(o, fc.Verdict)}
+        assert errors == {fc.WrongRank, fc.BoundaryMeetsSingularities}
+        failed = {o.failed_conditions for o in outcomes if isinstance(o, fc.Verdict)}
+        assert failed == {(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}
 
 
 def _negative_definite_by_fractions(a) -> bool:
