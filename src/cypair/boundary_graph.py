@@ -340,6 +340,24 @@ def _with_vertex(vs, vids, d_sq, d_nodes=0) -> list[CurveVertex]:
 # -- blow-ups and blow-downs ------------------------------------------------
 
 
+def corner_edge(g: BoundaryGraph, a: str, b: str) -> Edge:
+    """The edge of ``a`` and ``b``, if one of its points is an ordinary
+    corner that ``blowup_corner`` can blow up; NoSuchIntersection if not.
+
+    Crossings sitting at marked points are not ordinary corner points, so
+    the edge needs more points than the marked points through both curves.
+    """
+    e = g.edge_between(a, b)
+    if e is None:
+        raise NoSuchIntersection(f"no intersection point between {a!r} and {b!r}")
+    marked = sum(1 for p in g.marked_points if a in p.branches and b in p.branches)
+    if e.multiplicity - marked < 1:
+        raise NoSuchIntersection(
+            f"every intersection point of {a!r} and {b!r} lies at a marked point"
+        )
+    return e
+
+
 def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> BoundaryGraph:
     """Crepant blow-up of one intersection point of the boundary.
 
@@ -355,15 +373,7 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
         raise InvalidGraph(f"vertex id {eid!r} already in use")
     if edge is not None:
         a, b = edge
-        e = g.edge_between(a, b)
-        if e is None:
-            raise NoSuchIntersection(f"no intersection point between {a!r} and {b!r}")
-        # crossings sitting at marked points are not ordinary corner points
-        marked = sum(1 for p in g.marked_points if a in p.branches and b in p.branches)
-        if e.multiplicity - marked < 1:
-            raise NoSuchIntersection(
-                f"every intersection point of {a!r} and {b!r} lies at a marked point"
-            )
+        e = corner_edge(g, a, b)
         va, vb = g.vertex(a), g.vertex(b)
         vs = _with_vertex(g.vertices, (a, b), -1)
         vs.append(CurveVertex(eid, Fraction(-1), va.coeff + vb.coeff - 1))

@@ -54,6 +54,12 @@ def node_location(text: str) -> str:
     raise FiberError(f"bad node location {text!r}; expected 'smooth' or 'A<n>'")
 
 
+def _flag(value, field: str, source: str = "fiber spec") -> bool:
+    if not isinstance(value, bool):
+        raise FiberError(f"{source}: {field} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FiberComponent:
     self_int: Fraction
@@ -83,9 +89,23 @@ class FiberSpec:
 
     @staticmethod
     def build(components, has_node, volume, rank, smooth_locus=True, node_at=SMOOTH_POINT):
-        comps = tuple(FiberComponent(as_rational(sq), bool(irr)) for sq, irr in components)
+        """The spec from (self-intersection, irreducible) pairs.  The
+        self-intersections and the volume are read with ``as_rational``;
+        the rank must be an ``int`` and the flags ``bool``s, which are not
+        coerced."""
+        if type(rank) is not int:
+            raise FiberError(f"fiber spec: rank must be an integer, got {rank!r}")
+        comps = tuple(
+            FiberComponent(as_rational(sq), _flag(irr, "irreducible"))
+            for sq, irr in components
+        )
         return FiberSpec(
-            comps, bool(has_node), as_rational(volume), int(rank), bool(smooth_locus), node_at
+            comps,
+            _flag(has_node, "has_node"),
+            as_rational(volume),
+            rank,
+            _flag(smooth_locus, "smooth_locus"),
+            node_at,
         )
 
 
@@ -292,18 +312,58 @@ def _first_divisor(gram: list[list[int]], allowed, cap: int) -> list[int] | None
 def _search_key(g: bg.BoundaryGraph, index: dict) -> tuple:
     """What the witness search reads of a blow-up of the fiber.
 
-    The self-intersection and node count of each original component, in
-    the fiber's order, and the sorted multiset of edges as (i, j,
-    multiplicity) with i <= j the original indices and -1 for an
-    exceptional curve.
+    The scale L, the lcm of the denominators of the originals'
+    self-intersections; the self-intersection times L and the node count
+    of each original component, in the fiber's order, as ints; and the
+    sorted multiset of edges as (i, j, multiplicity) with i <= j the
+    original indices and -1 for an exceptional curve.  Corner blow-ups
+    subtract 1 or 4 from self-intersections, so L is the fiber's own along
+    every script.
     """
     by_id = {v.id: v for v in g.vertices}
-    originals = tuple((by_id[vid].self_int, by_id[vid].nodes) for vid in index)
+    sqs = [by_id[vid].self_int for vid in index]
+    scale = lcm(*(s.denominator for s in sqs))
+    originals = tuple(
+        (s.numerator * (scale // s.denominator), by_id[vid].nodes) for s, vid in zip(sqs, index)
+    )
     edges = []
     for e in g.edges:
         i, j = index.get(e.a, -1), index.get(e.b, -1)
         edges.append((min(i, j), max(i, j), e.multiplicity))
-    return originals, tuple(sorted(edges))
+    return scale, originals, tuple(sorted(edges))
+
+
+def _child_key(key: tuple, corner: tuple, m: int) -> tuple:
+    """The ``_search_key`` of a corner blow-up, from the key of the graph
+    blown up.
+
+    ``corner`` is (i, j) for a point of the edge (i, j, m) of the key, in
+    original indices with -1 for an exceptional curve, or (i,) for a node
+    of original i (exceptional curves carry no nodes), where ``m`` is not
+    read.  At an edge point each original endpoint loses 1 from its
+    self-intersection, the edge loses one point and the exceptional curve
+    meets each endpoint once; at a node the curve loses 4 and one node and
+    the exceptional curve meets it twice.
+    """
+    scale, originals, edges = key
+    sqs = list(originals)
+    if len(corner) == 1:
+        (i,) = corner
+        s, nodes = sqs[i]
+        sqs[i] = (s - 4 * scale, nodes - 1)
+        es = [*edges, (-1, i, 2)]
+    else:
+        i, j = corner
+        for k in (i, j):
+            if k >= 0:
+                s, nodes = sqs[k]
+                sqs[k] = (s - scale, nodes)
+        es = list(edges)
+        es.remove((i, j, m))
+        if m > 1:
+            es.append((i, j, m - 1))
+        es += [(-1, i, 1), (-1, j, 1)]
+    return scale, tuple(sqs), tuple(sorted(es))
 
 
 def _divisor_witness(key: tuple, cap: int) -> list[int] | None:
@@ -311,26 +371,36 @@ def _divisor_witness(key: tuple, cap: int) -> list[int] | None:
     ``key``, as multiplicities of the original components, or None.
 
     The form is the Gram matrix of the originals' strict transforms scaled
-    by the common denominator of their self-intersections, which keeps its
-    sign exact.  Each boundary node has the bitmask of the originals
-    through it: an edge its original endpoints (i >= 0 makes both ends
-    original, as i <= j), a self-node its own curve.  A divisor is allowed
-    while some mask misses its support.
+    by the key's L, which keeps its sign exact.  Each boundary node has the
+    bitmask of the originals through it: an edge its original endpoints
+    (i >= 0 makes both ends original, as i <= j), a self-node its own
+    curve.  A divisor is allowed while some mask misses its support.
     """
-    originals, edges = key
-    sqs = [s for s, _ in originals]
-    scale = lcm(*(s.denominator for s in sqs))
-    gram = [[0] * len(sqs) for _ in sqs]
-    for i, s in enumerate(sqs):
-        gram[i][i] = s.numerator * (scale // s.denominator)
+    scale, originals, edges = key
+    gram = [[0] * len(originals) for _ in originals]
+    for i, (s, _) in enumerate(originals):
+        gram[i][i] = s
     masks = {1 << i for i, (_, nodes) in enumerate(originals) if nodes}
     for i, j, m in edges:
         if i >= 0:
             gram[i][j] = gram[j][i] = scale * m
-        masks.add(sum(1 << k for k in (i, j) if k >= 0))
+            masks.add(1 << i | 1 << j)
+        else:
+            masks.add(1 << j if j >= 0 else 0)
     if _negative_definite(gram):
         return None
     return _first_divisor(gram, lambda support: any(not mask & support for mask in masks), cap)
+
+
+def _blown_up(parent: bg.BoundaryGraph, script: tuple) -> bg.BoundaryGraph:
+    """The graph of a frontier entry: ``parent`` blown up at the last
+    target of ``script``, or ``parent`` itself for the empty script."""
+    if not script:
+        return parent
+    target = script[-1]
+    if target[0] == "edge":
+        return bg.blowup_corner(parent, edge=target[1:])
+    return bg.blowup_corner(parent, node=target[1])
 
 
 def prop51_witness_search(
@@ -354,18 +424,22 @@ def prop51_witness_search(
       self-intersections, which keeps the sign of every value.  A prefix
       whose support already meets every boundary node is skipped whole,
       before any form is evaluated.
-    - A graph is dropped from the frontier when its ``_search_key`` was
-      already seen, at this depth or an earlier one.  The scan,
-      ``_divisor_witness``, reads nothing but the key, so equal keys give
-      equal scans; only the witness's boundary node is named afterwards,
-      on the one graph that has the witness.  The key also fixes the
-      multiset of the keys of the graph's children, because exceptional
-      curves never carry nodes and marked points (which can refuse a
-      corner blow-up) name only original components.  So every subtree
-      that is dropped is mirrored by one that was kept and comes earlier
-      in the breadth-first order; the kept graphs are a subsequence of
-      that order, and the first graph with a witness, or the first
-      refused blow-up, is the same graph with the same script.
+    - A script is dropped from the frontier when its ``_search_key`` was
+      already seen, at this depth or an earlier one, and this is decided
+      before its graph is built: ``_child_key`` derives a child's key from
+      its parent's key, the corner and that corner's edge multiplicity.
+      The scan, ``_divisor_witness``, reads nothing but the key, so equal
+      keys give equal scans.  The key also fixes the multiset of the keys
+      of the graph's children, because exceptional curves never carry
+      nodes and marked points (which can refuse a corner blow-up, here
+      through ``bg.corner_edge`` as in ``blowup_corner``) name only
+      original components.  So every subtree that is dropped is mirrored
+      by one that was kept and comes earlier in the breadth-first order;
+      the kept scripts are a subsequence of that order, and the first
+      graph with a witness, or the first refused blow-up, is the same
+      graph with the same script.  A kept script's graph is built only
+      when it is expanded, or when it has the witness and the witness's
+      boundary node is named on it, so the last layer is never built.
     - A graph whose Gram matrix is negative definite is not scanned:
       there every nonzero divisor has negative self-intersection.
 
@@ -383,29 +457,35 @@ def prop51_witness_search(
     index = {vid: i for i, vid in enumerate(fiber.ids())}
     key = _search_key(fiber, index)
     seen = {key}
+    # (parent graph, script, key): the entry's graph is the parent blown
+    # up at the script's last target, built by _blown_up when needed
     frontier: list[tuple[bg.BoundaryGraph, tuple, tuple]] = [(fiber, (), key)]
     for depth in range(max_blowups + 1):
-        for g, script, key in frontier:
+        for parent, script, key in frontier:
             m = _divisor_witness(key, coeff_cap)
             if m is not None:
                 divisor = dict(zip(index, m))
                 node = next(
-                    t for t in _boundary_nodes(g) if not any(divisor.get(v) for v in t[1:])
+                    t
+                    for t in _boundary_nodes(_blown_up(parent, script))
+                    if not any(divisor.get(v) for v in t[1:])
                 )
                 return Witness(script, divisor, node)
         if depth == max_blowups:
             break
         nxt = []
-        for g, script, _ in frontier:
+        for parent, script, key in frontier:
+            g = _blown_up(parent, script)
             for target in _boundary_nodes(g):
                 if target[0] == "edge":
-                    g2 = bg.blowup_corner(g, edge=(target[1], target[2]))
+                    e = bg.corner_edge(g, target[1], target[2])
+                    i, j = index.get(e.a, -1), index.get(e.b, -1)
+                    child = _child_key(key, (min(i, j), max(i, j)), e.multiplicity)
                 else:
-                    g2 = bg.blowup_corner(g, node=target[1])
-                key = _search_key(g2, index)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((g2, script + (target,), key))
+                    child = _child_key(key, (index[target[1]],), 0)
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append((g, script + (target,), child))
         frontier = nxt
     return None
 
@@ -427,9 +507,7 @@ def fiber_to_json(f: FiberSpec) -> dict:
 
 
 def _json_bool(value, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise FiberError(f"malformed fiber JSON: {field} must be true or false, got {value!r}")
-    return value
+    return _flag(value, field, "malformed fiber JSON")
 
 
 def fiber_from_json(data: dict) -> FiberSpec:

@@ -30,6 +30,18 @@ class TestFiberSpec:
         with pytest.raises(fc.FiberError):
             spec([(1, True)], rank=1, at="B2")
 
+    def test_nothing_is_coerced(self):
+        with pytest.raises(fc.FiberError, match="rank must be an integer, got 1.9"):
+            fc.FiberSpec.build([(4, "no")], has_node="no", volume=4, rank=1.9)
+        for rank in (True, 1.0, "1"):
+            with pytest.raises(fc.FiberError, match="rank must be an integer"):
+                spec([(4, True)], volume=4, rank=rank)
+        for bad in ("no", 0, 1, None):
+            for kwargs in ({"components": [(4, bad)]}, {"node": bad}, {"smooth": bad}):
+                with pytest.raises(fc.FiberError, match="must be true or false"):
+                    spec(**{"components": [(4, True)], "volume": 4, "rank": 1, **kwargs})
+        assert spec([(4, False)], node=False, volume=4, rank=1, smooth=False).rel_picard_rank == 1
+
 
 class TestCheckPic2:
     def test_resolved_fiber_passes(self):
@@ -298,6 +310,76 @@ class TestPrunedSearchMatchesReference:
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
         assert (len(examined), len(scanned)) == (26, 1)
 
+    def test_children_are_built_lazily(self, monkeypatch):
+        # ex62.graph at depth 4: of the 26 graphs examined only the 11 that
+        # are expanded are built; building every child of every expanded
+        # graph, duplicates and the last layer included, would take 51
+        built = []
+        blowup_corner = bg.blowup_corner
+        monkeypatch.setattr(
+            bg, "blowup_corner", lambda *a, **k: built.append(1) or blowup_corner(*a, **k)
+        )
+        assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
+        assert len(built) == 11
+
+
+def _corners(g: bg.BoundaryGraph, index: dict):
+    """Each corner blow-up of ``g`` that is not refused: the child graph
+    and the arguments of ``_child_key`` for it."""
+    for target in fc._boundary_nodes(g):
+        if target[0] == "node":
+            yield bg.blowup_corner(g, node=target[1]), (index[target[1]],), 0
+            continue
+        try:
+            child = bg.blowup_corner(g, edge=target[1:])
+        except bg.NoSuchIntersection:
+            continue  # a shielded corner
+        i, j = sorted(index.get(v, -1) for v in target[1:])
+        yield child, (i, j), g.intersection(*target[1:])
+
+
+class TestChildKey:
+    """The key the search derives for a child equals the key of the child
+    graph, on every graph within two blow-ups of the fiber."""
+
+    def _check(self, fibers):
+        keys = []
+        for fiber in fibers:
+            index = {vid: i for i, vid in enumerate(fiber.ids())}
+            layer = [fiber]
+            for _ in range(3):
+                nxt = []
+                for g in layer:
+                    key = fc._search_key(g, index)
+                    for child, corner, m in _corners(g, index):
+                        got = fc._child_key(key, corner, m)
+                        assert got == fc._search_key(child, index), (g, corner)
+                        keys.append(got)
+                        nxt.append(child)
+                layer = nxt
+        return keys
+
+    def test_graph_fixtures(self):
+        self._check(
+            fixtures.load_fixture(name)
+            for name in fixtures.fixture_names()
+            if fixtures.fixture_kind(name) == "graph"
+        )
+
+    def test_random_fibers(self):
+        rng = random.Random(20261020)
+        keys = self._check(random_witness_fiber(rng) for _ in range(300))
+        # an exceptional curve meeting a curve twice, and a scale L > 1
+        assert any(i < 0 and m > 1 for _, _, edges in keys for i, _, m in edges)
+        assert any(scale > 1 for scale, _, _ in keys)
+
+    def test_non_integral_self_intersections(self):
+        keys = self._check(
+            bg.BoundaryGraph.build([("C1", a, 1), ("C2", b, 1)], [("C1", "C2", 2)], rho=2)
+            for a, b in ((Fr(7, 2), -1), (Fr(-5, 2), Fr(1, 3)), (Fr(-4, 3), Fr(1, 3)))
+        )
+        assert {scale for scale, _, _ in keys} == {2, 6, 3}
+
 
 def _cycle(sqs) -> bg.BoundaryGraph:
     k = len(sqs)
@@ -317,10 +399,11 @@ def _bracelets(values, k):
 
 
 class TestSearchMatchesPrunedReference:
-    """Depths 3 and 4, out of the brute-force oracle's reach: the search
-    must match the pruned search whose scan read each graph.  No witness
-    in these families needs more than two blow-ups, so the deep frontiers
-    are checked through the graphs on which both searches find nothing."""
+    """Depths 3 to 5, out of the brute-force oracle's reach: the search
+    must match the pruned search whose scan read each graph and which
+    built every child.  No witness in these families needs more than two
+    blow-ups, so the deep frontiers are checked through the graphs on
+    which both searches find nothing."""
 
     def _check(self, cases):
         outcomes = []
@@ -342,7 +425,7 @@ class TestSearchMatchesPrunedReference:
             for name in fixtures.fixture_names()
             if fixtures.fixture_kind(name) == "graph"
         ]
-        self._check((g, depth, cap) for g in graphs for depth in (3, 4) for cap in range(1, 7))
+        self._check((g, depth, cap) for g in graphs for depth in (3, 4, 5) for cap in range(1, 7))
 
     def test_nodal_curves_and_curve_pairs(self):
         # two curves meeting twice, and two disjoint nodal curves, where a
@@ -355,11 +438,13 @@ class TestSearchMatchesPrunedReference:
                     [("C1", a, 1), ("C2", b, 1)], [("C1", "C2", 2)], rho=2
                 ))
                 pairs.append(bg.BoundaryGraph.build([("B", a, 1, 1), ("C", b, 1, 1)], rho=2))
-        outcomes = self._check((g, depth, 6) for g in nodal + pairs for depth in (3, 4))
+        outcomes = self._check((g, depth, 6) for g in nodal + pairs for depth in (3, 4, 5))
         assert self._depths(outcomes) == {None, 0, 1, 2}
 
     def test_cycles(self):
-        cases = [(_cycle(sqs), depth, 6) for sqs in _bracelets(range(-4, 1), 3) for depth in (3, 4)]
+        cases = [
+            (_cycle(sqs), depth, 6) for sqs in _bracelets(range(-4, 1), 3) for depth in (3, 4, 5)
+        ]
         cases += [(_cycle(sqs), 4, 6) for sqs in _bracelets(range(-4, 1), 4)]
         outcomes = self._check(cases)
         assert self._depths(outcomes) == {None, 0}
@@ -369,7 +454,54 @@ class TestSearchMatchesPrunedReference:
             g = bg.BoundaryGraph.build(
                 [("C1", sqs[0], 1), ("C2", sqs[1], 1)], [("C1", "C2", 2)], rho=2
             )
-            self._check((g, depth, cap) for depth in (3, 4) for cap in (1, 3, 6))
+            self._check((g, depth, cap) for depth in (3, 4, 5) for cap in (1, 3, 6))
+
+    def test_shielded_corners(self):
+        # a marked point on three curves of a 4-cycle shields the corners
+        # C1-C2 and C2-C3, which come after two ordinary corners in the
+        # sorted order; on two curves meeting twice, with the third branch
+        # a nodal curve, the first blow-up at C1-C2 is allowed and the
+        # second, one layer down, is refused
+        cycles = [
+            bg.BoundaryGraph.build(
+                [(f"C{i}", s, 1) for i, s in enumerate(sqs)],
+                [(f"C{i}", f"C{(i + 1) % 4}") for i in range(4)],
+                [("C1", "C2", "C3")],
+                rho=4,
+            )
+            for sqs in ((-1, -2, -3, -4), (-3, -3, -3, -3), (-2, 0, -2, -1), (-4, -1, -4, -1))
+        ]
+        pairs = [
+            bg.BoundaryGraph.build(
+                [("C1", a, 1), ("C2", b, 1), ("B", c, 1, 1)],
+                [("C1", "C2", 2)],
+                [("C1", "C2", "B")],
+                rho=3,
+            )
+            for a, b, c in ((-3, -3, -3), (-4, -2, -1), (0, -4, 4), (-3, -3, 5))
+        ]
+        outcomes = {
+            (g, depth, cap): outcome
+            for g in cycles + pairs
+            for depth in (1, 2, 5)
+            for cap in (1, 6)
+            for outcome in self._check([(g, depth, cap)])
+        }
+        refused = {message for kind, _, message in outcomes.values() if kind == "raised"}
+        assert refused == {
+            "every intersection point of 'C1' and 'C2' lies at a marked point"
+        }
+        assert self._depths(outcomes.values()) == {None, 0}
+        assert outcomes[pairs[0], 1, 6] == ("returned", None, None)
+        assert outcomes[pairs[0], 2, 6][0] == "raised"
+        assert outcomes[cycles[1], 1, 6][0] == "raised"
+
+    def test_random_fibers_at_depth_five(self):
+        rng = random.Random(20261021)
+        cases = [(random_witness_fiber(rng), 5, rng.randint(1, 6)) for _ in range(40)]
+        outcomes = self._check(cases)
+        assert {kind for kind, _, _ in outcomes} == {"raised", "returned"}
+        assert self._depths(outcomes) == {None, 0, 1, 2}
 
     def test_random_fibers(self):
         rng = random.Random(20261018)
