@@ -12,11 +12,12 @@ Four computation layers, all over exact rationals:
   weighted-corner obstruction arithmetic.
 
 ``fixtures`` holds the bundled worked-example corpus and ``cli`` the
-command-line front end.  ``cli`` is not imported here, so that
-``python -m cypair.cli`` runs it fresh; ``from cypair import cli`` loads it.
+command-line front end.  Importing the package loads none of them: each
+submodule loads on first use, as ``cypair.<name>`` or ``from cypair import
+<name>``, so ``python -m cypair.cli`` runs the front end without a warning.
 """
 
-from . import boundary_graph, fiber_criteria, fixtures, gdp_atlas, lattice_fan
+import importlib
 
 __all__ = [
     "boundary_graph",
@@ -28,3 +29,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

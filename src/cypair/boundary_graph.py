@@ -15,7 +15,7 @@ the blow-down arithmetic (the m-choose-2 rule) explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm

@@ -307,7 +307,7 @@ def _cmd_catalog(args) -> dict:
             "volume": fam.volume,
             "toric": fam.toric,
             "cluster_type": fam.cluster_type,
-            "has_resolution_graph": fam.resolution_graph is not None,
+            "has_resolution_graph": fam.fixture is not None,
         }
         for fam in atlas.catalog()
     ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .boundary_graph import BoundaryGraph
 from .fiber_criteria import FiberSpec
-from .lattice_fan import Fan2, make_fan
+from .lattice_fan import make_fan
 
 
 class UnknownFixture(KeyError):

@@ -7,9 +7,11 @@ points); decide_pair runs the five-case decision procedure for a
 Calabi-Yau pair on such a surface, given the shape of its boundary.
 
 catalog() lists the sixteen A-type families the classification turns on,
-with resolution dual graphs attached for the five families whose
-contraction diagrams ship as fixtures; apply_contraction_script replays
-those diagrams through the blow-down calculus.
+naming the fixture that holds the resolution dual graph for the five
+families whose contraction diagrams ship as fixtures;
+apply_contraction_script replays those diagrams through the blow-down
+calculus.  Nothing else in the package is imported until that replay runs,
+so the decisions load on their own.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import boundary_graph as bg
-from . import fixtures
+if TYPE_CHECKING:
+    from .boundary_graph import BoundaryGraph
 
 
 class AtlasError(Exception):
@@ -138,9 +141,12 @@ class MultiComponent:
     ranks: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.k < 2:
+        if type(self.k) is not int or self.k < 2:
             raise InconsistentSpec("a multi-component boundary needs k >= 2")
-        if self.ranks is not None and (len(self.ranks) != 2 or min(self.ranks) < 1):
+        if self.ranks is not None and (
+            len(self.ranks) != 2
+            or any(type(r) is not int or r < 1 for r in self.ranks)
+        ):
             raise InconsistentSpec("intersection A-ranks must be two positive integers")
 
 
@@ -264,11 +270,14 @@ def decide_pair(spec: PairSpec) -> PairVerdict:
 
 @dataclass(frozen=True)
 class GdpFamily:
+    """A catalog family; ``fixture`` names the bundled fixture holding its
+    resolution dual graph, or is None when no contraction diagram ships."""
+
     singularities: tuple[SingularityLabel, ...]
     volume: int
     toric: bool
     cluster_type: bool
-    resolution_graph: bg.BoundaryGraph | None = None
+    fixture: str | None = None
 
     def __post_init__(self):
         if self.volume != volume_of(self.singularities):
@@ -283,13 +292,12 @@ class GdpFamily:
 
 def _family(sings: str, toric: bool, fixture: str | None = None):
     labels = parse_singularities(sings)
-    graph = fixtures.load_fixture(fixture) if fixture else None
     return GdpFamily(
         singularities=labels,
         volume=volume_of(labels),
         toric=toric,
         cluster_type=classify_surface(labels).cluster_type,
-        resolution_graph=graph,
+        fixture=fixture,
     )
 
 
@@ -327,23 +335,15 @@ def catalog() -> tuple[GdpFamily, ...]:
     return _CATALOG
 
 
-def family_by_name(name: str) -> GdpFamily:
-    labels = parse_singularities(name)
-    for fam in catalog():
-        if fam.singularities == labels:
-            return fam
-    raise AtlasError(f"no catalog family {name!r}")
-
-
 # -- figure contraction scripts ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class ContractionReplay:
-    before: bg.BoundaryGraph
-    after: bg.BoundaryGraph
+    before: BoundaryGraph
+    after: BoundaryGraph
     script: tuple[str, ...]
-    result: bg.BoundaryGraph
+    result: BoundaryGraph
 
 
 def apply_contraction_script(fig: str) -> ContractionReplay:
@@ -353,6 +353,9 @@ def apply_contraction_script(fig: str) -> ContractionReplay:
     The returned ``result`` is the computed graph; ``after`` is the encoded
     right panel it should match up to weighted isomorphism.
     """
+    from . import boundary_graph as bg
+    from . import fixtures
+
     if fig not in fixtures.CONTRACTION_SCRIPTS:
         raise AtlasError(f"unknown contraction tag {fig!r}")
     before_name, script, after_name = fixtures.CONTRACTION_SCRIPTS[fig]

@@ -95,12 +95,6 @@ class Fan2:
     def __len__(self) -> int:
         return len(self.rays)
 
-    def index_of(self, v: RayVector) -> int | None:
-        try:
-            return self.rays.index(v)
-        except ValueError:
-            return None
-
 
 def _as_ray(v) -> RayVector:
     if isinstance(v, RayVector):
@@ -211,15 +205,6 @@ def star_subdivide(fan: Fan2, v) -> Fan2:
             new = rays[: i + 1] + (v,) + rays[i + 1 :]
             return make_fan(new)
     raise NotInteriorToCone(f"ray {v.as_pair()} is not interior to any cone")
-
-
-def contract_ray(fan: Fan2, v) -> Fan2:
-    """Remove a ray; inverse of star_subdivide when the result is valid."""
-    v = _as_ray(v)
-    i = fan.index_of(v)
-    if i is None:
-        raise NotInteriorToCone(f"ray {v.as_pair()} is not in the fan")
-    return make_fan(fan.rays[:i] + fan.rays[i + 1 :])
 
 
 def p1_projection(fan: Fan2, L) -> FibrationData:

@@ -95,6 +95,17 @@ class TestDecidePair:
         )
 
 
+    @pytest.mark.parametrize("ranks", [[1.5, 2], [2, True]])
+    def test_non_integer_ranks_exit_2(self, capsys, ranks):
+        spec = json.dumps({
+            "singularities": "A1+A2+A5",
+            "boundary": {"kind": "multi_component", "k": 2, "ranks": ranks},
+        })
+        assert invoke(capsys, "decide-pair", spec) == (
+            2, "", "error: bad pair spec: intersection A-ranks must be two positive integers\n"
+        )
+
+
 class TestCheckFiber:
     def test_rank_one_volume_four(self, capsys):
         data = invoke_json(capsys, "check-fiber", "fixture:ex62.pic1", "--rank", "1")

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,6 +113,16 @@ class TestDecidePair:
         with pytest.raises(atlas.InconsistentSpec):
             decide("A8", MultiComponent(2))
 
+    @pytest.mark.parametrize("ranks", [(1.5, 2), (2, 2.0), (True, 2), ("1", 2)])
+    def test_non_integer_ranks_rejected(self, ranks):
+        with pytest.raises(atlas.InconsistentSpec, match="two positive integers"):
+            MultiComponent(2, ranks)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_non_integer_component_count_rejected(self, k):
+        with pytest.raises(atlas.InconsistentSpec, match="k >= 2"):
+            MultiComponent(k)
+
     def test_non_a_type_is_never_cluster_type(self):
         v = decide("E8", NodalSmoothLocus())
         assert not v.cluster_type
@@ -136,22 +152,18 @@ class TestCatalog:
             assert fam.volume == atlas.volume_of(fam.singularities)
 
     def test_resolution_graph_bookkeeping(self):
-        with_graph = [f for f in atlas.catalog() if f.resolution_graph is not None]
+        with_graph = [f for f in atlas.catalog() if f.fixture is not None]
         assert len(with_graph) == 5
         for fam in with_graph:
-            g = fam.resolution_graph
+            g = fixtures.load_fixture(fam.fixture)
             assert 10 - g.picard_rank == fam.volume
             marks = bg.contract_minus2_chains(g).mark_ranks
             assert sorted(marks) == sorted(s.rank for s in fam.singularities)
 
     def test_catalog_is_built_once(self):
         assert atlas.catalog() is atlas.catalog()
-        assert atlas.family_by_name("A7").resolution_graph is fixtures.load_fixture("fig5.A7.before")
-
-    def test_family_lookup(self):
-        assert atlas.family_by_name("A7").volume == 2
-        with pytest.raises(atlas.AtlasError):
-            atlas.family_by_name("A3")
+        (a7,) = (f for f in atlas.catalog() if f.name == "A7")
+        assert fixtures.load_fixture(a7.fixture) is fixtures.load_fixture("fig5.A7.before")
 
 
 class TestClassifierConsistency:
@@ -206,11 +218,8 @@ class TestContractionScripts:
     def test_every_scripted_contraction_is_crepant(self):
         # each contracted curve carries the coefficient a blow-up would
         # assign at the moment it is contracted, so the balance survives
-        for tag, (before_name, script, _) in (
-            (t, atlas.fixtures.CONTRACTION_SCRIPTS[t])
-            for t in atlas.fixtures.CONTRACTION_SCRIPTS
-        ):
-            g = atlas.fixtures.load_fixture(before_name)
+        for tag, (before_name, script, _) in fixtures.CONTRACTION_SCRIPTS.items():
+            g = fixtures.load_fixture(before_name)
             for vid in script:
                 assert bg.is_crepant_blowdown(g, vid), (tag, vid)
                 g = bg.blowdown(g, vid)
@@ -219,3 +228,41 @@ class TestContractionScripts:
     def test_unknown_tag(self):
         with pytest.raises(atlas.AtlasError):
             atlas.apply_contraction_script("A1->A0")
+
+
+_LAYERING_PROBE = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("cypair"))
+import cypair
+bare = loaded()
+import cypair.gdp_atlas as atlas
+atlas.catalog()
+atlas.classify_surface("A1+A2+A5")
+atlas.decide_pair(atlas.PairSpec.build("A4", atlas.NodalSmoothLocus()))
+decisions = loaded()
+resolved = [name for name in cypair.__all__ if getattr(cypair, name).__name__ == "cypair." + name]
+try:
+    cypair.nope
+    missing = "resolved"
+except AttributeError:
+    missing = "AttributeError"
+print(json.dumps([bare, decisions, resolved, missing]))
+"""
+
+
+def test_decision_layer_loads_alone():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYERING_PROBE],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    import cypair
+
+    bare, decisions, resolved, missing = json.loads(proc.stdout)
+    assert bare == ["cypair"]
+    assert decisions == ["cypair", "cypair.gdp_atlas"]
+    assert resolved == cypair.__all__
+    assert missing == "AttributeError"
