@@ -15,6 +15,7 @@ the blow-down arithmetic (the m-choose-2 rule) explicit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -120,9 +121,11 @@ class BoundaryGraph:
         or CurveVertex objects; ``edges`` of (a, b[, mult]) tuples or Edge
         objects; ``marked_points`` of branch-id tuples.  Vertices and edges
         are stored sorted so equal graphs compare equal.  Ids must be
-        unique, edges and marked points must name existing vertices, and
-        the Picard rank must be positive.  Surgery results skip these
-        re-checks through ``_surgery_result``; everything else comes here.
+        unique, edges and marked points must name existing vertices, every
+        two branches of a marked point must meet there (so two curves meet
+        at least once per marked point through both), and the Picard rank
+        must be positive.  Surgery results skip these re-checks through
+        ``_surgery_result``; everything else comes here.
         """
         vs = []
         for v in vertices:
@@ -159,6 +162,14 @@ class BoundaryGraph:
             if any(b not in known for b in p.branches):
                 raise InvalidGraph("marked point references a missing vertex")
             mps.append(p)
+        # a marked point is an intersection point of every two of its branches
+        through = Counter(pair for p in mps for pair in combinations(sorted(set(p.branches)), 2))
+        points = {(e.a, e.b): e.multiplicity for e in es}
+        for (a, b), n in through.items():
+            if points.get((a, b), 0) < n:
+                raise InvalidGraph(
+                    f"marked points through {a!r} and {b!r} outnumber their intersection points"
+                )
         if rho < 1:
             raise InvalidGraph("Picard rank must be positive")
         return BoundaryGraph(
@@ -340,24 +351,6 @@ def _with_vertex(vs, vids, d_sq, d_nodes=0) -> list[CurveVertex]:
 # -- blow-ups and blow-downs ------------------------------------------------
 
 
-def corner_edge(g: BoundaryGraph, a: str, b: str) -> Edge:
-    """The edge of ``a`` and ``b``, if one of its points is an ordinary
-    corner that ``blowup_corner`` can blow up; NoSuchIntersection if not.
-
-    Crossings sitting at marked points are not ordinary corner points, so
-    the edge needs more points than the marked points through both curves.
-    """
-    e = g.edge_between(a, b)
-    if e is None:
-        raise NoSuchIntersection(f"no intersection point between {a!r} and {b!r}")
-    marked = sum(1 for p in g.marked_points if a in p.branches and b in p.branches)
-    if e.multiplicity - marked < 1:
-        raise NoSuchIntersection(
-            f"every intersection point of {a!r} and {b!r} lies at a marked point"
-        )
-    return e
-
-
 def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> BoundaryGraph:
     """Crepant blow-up of one intersection point of the boundary.
 
@@ -365,6 +358,8 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
     single curve (pass ``node=vertex_id``).  The exceptional curve gets
     self-intersection -1 and the crepant coefficient: b_a + b_b - 1 at an
     edge point, 2*b_c - 1 at a node.  The Picard rank grows by one.
+    Crossings sitting at marked points are not ordinary corner points, so
+    an edge needs more points than the marked points through both curves.
     """
     if (edge is None) == (node is None):
         raise NoSuchIntersection("pass exactly one of edge=(a, b) or node=vertex_id")
@@ -373,7 +368,13 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
         raise InvalidGraph(f"vertex id {eid!r} already in use")
     if edge is not None:
         a, b = edge
-        e = corner_edge(g, a, b)
+        e = g.edge_between(a, b)
+        if e is None:
+            raise NoSuchIntersection(f"no intersection point between {a!r} and {b!r}")
+        if e.multiplicity <= sum(1 for p in g.marked_points if a in p.branches and b in p.branches):
+            raise NoSuchIntersection(
+                f"every intersection point of {a!r} and {b!r} lies at a marked point"
+            )
         va, vb = g.vertex(a), g.vertex(b)
         vs = _with_vertex(g.vertices, (a, b), -1)
         vs.append(CurveVertex(eid, Fraction(-1), va.coeff + vb.coeff - 1))
@@ -664,9 +665,15 @@ def graph_to_json(g: BoundaryGraph) -> dict:
     return out
 
 
-def _json_int(value, field: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidGraph(f"malformed graph JSON: {field} must be an integer, got {value!r}")
+_JSON_KINDS = {int: "an integer", str: "a string", list: "an array"}
+
+
+def _json_typed(value, kind: type, field: str):
+    """``value`` if its JSON type is ``kind`` (a boolean is not an integer)."""
+    if type(value) is not kind:
+        raise InvalidGraph(
+            f"malformed graph JSON: {field} must be {_JSON_KINDS[kind]}, got {value!r}"
+        )
     return value
 
 
@@ -675,13 +682,22 @@ def graph_from_json(data: dict) -> BoundaryGraph:
         raise InvalidGraph("graph JSON needs a 'vertices' array")
     try:
         vs = [
-            (v["id"], as_rational(v["sq"]), as_rational(v.get("coeff", 1)),
-             _json_int(v.get("nodes", 0), "nodes"))
+            (_json_typed(v["id"], str, "id"), as_rational(v["sq"]),
+             as_rational(v.get("coeff", 1)), _json_typed(v.get("nodes", 0), int, "nodes"))
             for v in data["vertices"]
         ]
-        es = [(e["a"], e["b"], _json_int(e.get("m", 1), "m")) for e in data.get("edges", ())]
-        mps = [tuple(p["branches"]) for p in data.get("marked_points", ())]
-        rho = _json_int(data.get("rho", 1), "rho")
+        es = [
+            (_json_typed(e["a"], str, "a"), _json_typed(e["b"], str, "b"),
+             _json_typed(e.get("m", 1), int, "m"))
+            for e in data.get("edges", ())
+        ]
+        mps = [
+            tuple(
+                _json_typed(b, str, "branch") for b in _json_typed(p["branches"], list, "branches")
+            )
+            for p in data.get("marked_points", ())
+        ]
+        rho = _json_typed(data.get("rho", 1), int, "rho")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed graph JSON: {exc}") from exc
     return BoundaryGraph.build(vs, es, mps, rho)

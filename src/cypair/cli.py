@@ -140,8 +140,10 @@ def _boundary_from_json(data) -> object:
         raise CliInputError("boundary needs a 'kind' field")
     kind = data["kind"]
     if kind == "multi_component":
-        ranks = data.get("ranks")
-        return atlas.MultiComponent(int(data.get("k", 2)), tuple(ranks) if ranks else None)
+        k, ranks = data.get("k", 2), data.get("ranks")
+        if isinstance(k, (bool, float)):
+            raise CliInputError(f"boundary k must be an integer, got {k!r}")
+        return atlas.MultiComponent(int(k), tuple(ranks) if ranks else None)
     if kind == "nodal_smooth_locus":
         return atlas.NodalSmoothLocus()
     if kind == "nodal_at_A":

@@ -431,22 +431,22 @@ def prop51_witness_search(
       The scan, ``_divisor_witness``, reads nothing but the key, so equal
       keys give equal scans.  The key also fixes the multiset of the keys
       of the graph's children, because exceptional curves never carry
-      nodes and marked points (which can refuse a corner blow-up, here
-      through ``bg.corner_edge`` as in ``blowup_corner``) name only
-      original components.  So every subtree that is dropped is mirrored
-      by one that was kept and comes earlier in the breadth-first order;
-      the kept scripts are a subsequence of that order, and the first
-      graph with a witness, or the first refused blow-up, is the same
-      graph with the same script.  A kept script's graph is built only
-      when it is expanded, or when it has the witness and the witness's
-      boundary node is named on it, so the last layer is never built.
+      nodes.  So every subtree that is dropped is mirrored by one that
+      was kept and comes earlier in the breadth-first order; the kept
+      scripts are a subsequence of that order, and the first graph with a
+      witness is the same graph with the same script.  A kept script's
+      graph is built only when it is expanded, or when it has the witness
+      and the witness's boundary node is named on it, so the last layer
+      is never built.
     - A graph whose Gram matrix is negative definite is not scanned:
       there every nonzero divisor has negative self-intersection.
 
-    The fiber must be an index-one Calabi-Yau boundary graph: every
-    coefficient one and every adjunction residual zero.  ``max_blowups``
-    must be at least 0 and ``coeff_cap`` at least 1; anything less would
-    search nothing and report a false "no witness".
+    The fiber must be an index-one log canonical Calabi-Yau boundary
+    graph: every coefficient one, every adjunction residual zero and no
+    marked point (three coefficient-one branches through one point are
+    not log canonical).  ``max_blowups`` must be at least 0 and
+    ``coeff_cap`` at least 1; anything less would search nothing and
+    report a false "no witness".
     """
     if max_blowups < 0 or coeff_cap < 1:
         raise PreconditionFailed("witness search needs max_blowups >= 0 and coeff_cap >= 1")
@@ -454,6 +454,8 @@ def prop51_witness_search(
         raise PreconditionFailed("witness search needs all boundary coefficients equal to 1")
     if not bg.is_calabi_yau(fiber):
         raise PreconditionFailed("witness search needs a Calabi-Yau balanced graph")
+    if fiber.marked_points:
+        raise PreconditionFailed("witness search needs a log canonical graph: no marked points")
     index = {vid: i for i, vid in enumerate(fiber.ids())}
     key = _search_key(fiber, index)
     seen = {key}
@@ -476,13 +478,14 @@ def prop51_witness_search(
         nxt = []
         for parent, script, key in frontier:
             g = _blown_up(parent, script)
-            for target in _boundary_nodes(g):
-                if target[0] == "edge":
-                    e = bg.corner_edge(g, target[1], target[2])
-                    i, j = index.get(e.a, -1), index.get(e.b, -1)
-                    child = _child_key(key, (min(i, j), max(i, j)), e.multiplicity)
-                else:
-                    child = _child_key(key, (index[target[1]],), 0)
+            # the targets in _boundary_nodes order: edges, then nodal curves
+            children = []
+            for e in g.edges:
+                i, j = index.get(e.a, -1), index.get(e.b, -1)
+                children.append((("edge", e.a, e.b), (min(i, j), max(i, j)), e.multiplicity))
+            children += [(("node", v.id), (index[v.id],), 0) for v in g.vertices if v.nodes]
+            for target, corner, m in children:
+                child = _child_key(key, corner, m)
                 if child not in seen:
                     seen.add(child)
                     nxt.append((g, script + (target,), child))

@@ -318,6 +318,8 @@ def fan_from_json(data) -> Fan2:
     if not isinstance(data, list):
         raise FanError("fan JSON must be an array of [x, y] pairs")
     for ray in data:
-        if isinstance(ray, list) and any(isinstance(c, (bool, float)) for c in ray):
+        if not isinstance(ray, list):
+            raise FanError(f"fan rays must be [x, y] arrays, got {ray!r}")
+        if any(isinstance(c, (bool, float)) for c in ray):
             raise FanError(f"fan ray coordinates must be integers, got {ray!r}")
     return make_fan(data)

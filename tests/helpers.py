@@ -155,17 +155,14 @@ WITNESS_SQS = tuple(range(-4, 9)) + (
 def random_witness_fiber(rng: random.Random) -> bg.BoundaryGraph:
     """An index-one Calabi-Yau graph for the witness search.
 
-    A nodal curve, two curves meeting twice, or a cycle of 3 or 4 curves
-    (a quarter of the cycles with a marked point on three consecutive
-    curves, which shields their corners), then scrambled by 0-2 random
-    corner blow-ups.  Self-intersections are drawn from ``WITNESS_SQS``,
-    for half the graphs from its nonpositive part, where witnesses are
-    rare and the search runs to its depth.  With every coefficient one,
-    any self-intersections balance.
+    A nodal curve, two curves meeting twice, or a cycle of 3 or 4 curves,
+    then scrambled by 0-2 random corner blow-ups.  Self-intersections are
+    drawn from ``WITNESS_SQS``, for half the graphs from its nonpositive
+    part, where witnesses are rare and the search runs to its depth.  With
+    every coefficient one, any self-intersections balance.
     """
     sqs = WITNESS_SQS if rng.randrange(2) else [s for s in WITNESS_SQS if s <= 0]
     shape = rng.choice(("nodal", "pair", "cycle", "cycle"))
-    marked = []
     if shape == "nodal":
         vs, es = [("B", rng.choice(sqs), 1, 1)], []
     elif shape == "pair":
@@ -175,17 +172,12 @@ def random_witness_fiber(rng: random.Random) -> bg.BoundaryGraph:
         k = rng.randint(3, 4)
         vs = [(f"C{i}", rng.choice(sqs), 1) for i in range(k)]
         es = [(f"C{i}", f"C{(i + 1) % k}") for i in range(k)]
-        if rng.randrange(4) == 0:
-            marked = [("C0", "C1", "C2")]
-    g = bg.BoundaryGraph.build(vs, es, marked, rho=len(vs))
+    g = bg.BoundaryGraph.build(vs, es, rho=len(vs))
     for _ in range(rng.randint(0, 2)):
         targets = [(e.a, e.b) for e in g.edges] + [v.id for v in g.vertices if v.nodes]
         target = rng.choice(targets)
-        try:
-            if isinstance(target, tuple):
-                g = bg.blowup_corner(g, edge=target)
-            else:
-                g = bg.blowup_corner(g, node=target)
-        except bg.NoSuchIntersection:
-            pass  # a shielded corner
+        if isinstance(target, tuple):
+            g = bg.blowup_corner(g, edge=target)
+        else:
+            g = bg.blowup_corner(g, node=target)
     return g

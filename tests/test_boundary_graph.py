@@ -95,6 +95,23 @@ class TestBlowupCorner:
         with pytest.raises(bg.NoSuchIntersection):
             bg.blowup_corner(up, edge=("F", "D1"))
 
+    def test_marked_points_sit_on_intersection_points(self):
+        vs = [("A", 0, Fr(1, 2)), ("B", 0, Fr(1, 2)), ("C", 0, Fr(1, 2)), ("D", 0, Fr(1, 2))]
+        # two branches that do not meet, and two marked points through A and B,
+        # which meet once; a branch listed twice is one branch
+        for es, mps in (
+            ([("A", "B"), ("B", "C")], [("A", "B", "C")]),
+            ([("A", "B"), ("B", "C"), ("A", "C"), ("A", "D"), ("B", "D")],
+             [("A", "B", "C"), ("A", "B", "D")]),
+            ([("A", "B")], [("A", "A", "C")]),
+        ):
+            with pytest.raises(bg.InvalidGraph, match="outnumber their intersection points"):
+                build(vs, es, mps)
+        g = build(vs, [("A", "B", 2), ("B", "C"), ("A", "C"), ("A", "D"), ("B", "D")],
+                  [("A", "B", "C"), ("A", "B", "D")])
+        assert len(g.marked_points) == 2
+        assert build(vs, [("A", "C")], [("A", "A", "C")]).marked_points
+
 
 class TestBlowupInterior:
     def test_coeff_one(self):
@@ -388,6 +405,23 @@ class TestJson:
             with pytest.raises(bg.InvalidGraph, match=f"{field} must be an integer"):
                 bg.graph_from_json(spec(**{field: bad}))
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("id", ["L"], "a string"), ("id", 1, "a string"), ("a", 1, "a string"),
+        ("b", None, "a string"), ("branches", "LMN", "an array"), ("branch", 1, "a string"),
+    ])
+    def test_names_are_json_strings(self, field, value, kind):
+        names = {"id": "L", "a": "L", "b": "M", "branches": ["L", "M", "N"], field: value}
+        if field == "branch":
+            names["branches"] = ["L", "M", value]
+        spec = {
+            "vertices": [{"id": names["id"], "sq": 1}, {"id": "M", "sq": 1}, {"id": "N", "sq": 1}],
+            "edges": [{"a": names["a"], "b": names["b"]}, {"a": "L", "b": "N"},
+                      {"a": "M", "b": "N"}],
+            "marked_points": [{"branches": names["branches"]}],
+        }
+        with pytest.raises(bg.InvalidGraph, match=f"^malformed graph JSON: {field} must be {kind}"):
+            bg.graph_from_json(spec)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 4))
@@ -603,8 +637,13 @@ def _random_chain_graph(rng: random.Random):
     for a, b in combinations(survivors, 2):
         if rng.random() < 0.4:
             es.append((a, b, rng.randint(1, 2)))
-    ids = [v[0] for v in vs]
-    mps = [rng.sample(ids, 3)] if len(ids) >= 3 and rng.random() < 0.3 else []
+    # a marked point only on three curves that pairwise meet
+    met = {frozenset(e[:2]) for e in es}
+    triangles = [
+        t for t in combinations([v[0] for v in vs], 3)
+        if all(frozenset(pair) in met for pair in combinations(t, 2))
+    ]
+    mps = [rng.choice(triangles)] if triangles and rng.random() < 0.3 else []
     rho = len(vs) + rng.randint(-1, 2)
     mode = rng.choice((0, 0, 1, 1, 2, 3, 4, 5))
     if mode == 0:
@@ -633,8 +672,10 @@ class TestContractChainsMatchesReference:
         rng = random.Random(20260518)
         refusals = set()
         seen = set()
+        marked = 0
         for _ in range(1500):
             g, chains = _random_chain_graph(rng)
+            marked += bool(g.marked_points)
             out = _same_outcome(bg.contract_minus2_chains, ref.contract_minus2_chains, g, chains)
             if isinstance(out, bg.GraphError):
                 refusals.add(str(out))
@@ -654,3 +695,4 @@ class TestContractChainsMatchesReference:
                        "coefficients differ", "not -2", "carries nodes", "distinct vertices",
                        "Picard rank must be positive"):
             assert any(phrase in message for message in refusals), phrase
+        assert marked

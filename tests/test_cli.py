@@ -15,6 +15,54 @@ from cypair import lattice_fan as lf
 from cypair.cli import emit_dot, run
 
 
+# a triangle of coefficient-one curves whose corners are one marked point:
+# Calabi-Yau, but not log canonical
+TRIANGLE = json.dumps({
+    "rho": 3,
+    "vertices": [{"id": vid, "sq": 0} for vid in "ABC"],
+    "edges": [{"a": "A", "b": "B"}, {"a": "B", "b": "C"}, {"a": "A", "b": "C"}],
+    "marked_points": [{"branches": ["A", "B", "C"]}],
+})
+
+
+def _graph(**fields):
+    """Graph JSON for three curves L, M and N meeting pairwise, with ``fields`` replaced."""
+    spec = {
+        "vertices": [{"id": vid, "sq": 1} for vid in "LMN"],
+        "edges": [{"a": a, "b": b} for a, b in ("LM", "LN", "MN")],
+    }
+    return json.dumps({**spec, **fields})
+
+
+def _k(k):
+    return json.dumps({"singularities": "A1", "boundary": {"kind": "multi_component", "k": k}})
+
+
+# (argv, exit code, stderr) of inputs that used to crash or be misread
+REFUSED = [
+    (["fan", "[1,2,3]"], 2, "error: fan rays must be [x, y] arrays, got 1\n"),
+    (["fan", "[[1,0],[0,1],null]"], 2, "error: fan rays must be [x, y] arrays, got None\n"),
+    (["fan", '[[1,0],[0,1],"ab"]'], 2, "error: fan rays must be [x, y] arrays, got 'ab'\n"),
+    (["fan", '[{"x":1},[0,1],[-1,-1]]'], 2,
+     "error: fan rays must be [x, y] arrays, got {'x': 1}\n"),
+    (["fan", '["10",[0,1],[-1,-1]]'], 2, "error: fan rays must be [x, y] arrays, got '10'\n"),
+    (["graph", _graph(vertices=[{"id": ["L"], "sq": 1}], edges=[])], 2,
+     "error: malformed graph JSON: id must be a string, got ['L']\n"),
+    (["graph", _graph(vertices=[{"id": 1, "sq": 1}], edges=[])], 2,
+     "error: malformed graph JSON: id must be a string, got 1\n"),
+    (["graph", _graph(edges=[{"a": "L", "b": 2}])], 2,
+     "error: malformed graph JSON: b must be a string, got 2\n"),
+    (["graph", _graph(marked_points=[{"branches": "LMN"}])], 2,
+     "error: malformed graph JSON: branches must be an array, got 'LMN'\n"),
+    (["graph", _graph(edges=[{"a": "L", "b": "M"}], marked_points=[{"branches": ["L", "M", "N"]}])],
+     2, "error: marked points through 'L' and 'N' outnumber their intersection points\n"),
+    (["decide-pair", _k(2.7)], 2, "error: boundary k must be an integer, got 2.7\n"),
+    (["decide-pair", _k(True)], 2, "error: boundary k must be an integer, got True\n"),
+    (["graph", TRIANGLE, "--op", "witness"], 3,
+     "error: PreconditionFailed: witness search needs a log canonical graph: no marked points\n"),
+]
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -94,6 +142,11 @@ class TestDecidePair:
             2, "", f"error: boundary n must be an integer, got {n!r}\n"
         )
 
+
+    @pytest.mark.parametrize("k", [2.7, 3.0, True, False])
+    def test_float_or_boolean_k_is_refused(self, k):
+        with pytest.raises(cli.CliInputError, match=f"^boundary k must be an integer, got {k}$"):
+            cli._boundary_from_json({"kind": "multi_component", "k": k})
 
     @pytest.mark.parametrize("ranks", [[1.5, 2], [2, True]])
     def test_non_integer_ranks_exit_2(self, capsys, ranks):
@@ -523,17 +576,39 @@ class TestExpectedVerdictTable:
                     lf.p1_projection(lf.subdivide_for_projection(fan, form), form)
 
 
+@pytest.mark.parametrize("argv, code, err", REFUSED)
+def test_refused_inputs(capsys, argv, code, err):
+    assert invoke(capsys, *argv) == (code, "", err)
+
+
+def _cli_process(*argv) -> subprocess.Popen:
+    """``python -m cypair.cli ARGV`` with this checkout's ``src`` on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "cypair.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_m_cypair_cli_is_quiet(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cypair.cli", "--help"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.startswith("usage: ")
+        proc = _cli_process("--help")
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+        assert out.startswith("usage: ")
+
+    def test_exit_codes_without_traceback(self):
+        # one input per exit code, then every input in REFUSED; the
+        # processes run side by side
+        cases = [(["classify", "A1"], 0), (["classify", "B3"], 2),
+                 (["graph", "fixture:ex64.pair", "--op", "witness"], 3)]
+        cases += [(argv, code) for argv, code, _ in REFUSED]
+        procs = [(argv, code, _cli_process(*argv)) for argv, code in cases]
+        for argv, code, proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, "Traceback" in err) == (code, False), (argv, err)
 
     def test_cli_imports(self):
         import cypair

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -371,3 +372,13 @@ class TestJson:
     def test_bad_json(self):
         with pytest.raises(lf.FanError):
             lf.fan_from_json({"rays": []})
+
+    @pytest.mark.parametrize("rays", [
+        [1, 2, 3], [[1, 0], [0, 1], None], [[1, 0], [0, 1], "ab"],
+        [{"x": 1}, [0, 1], [-1, -1]], ["10", [0, 1], [-1, -1]],
+    ])
+    def test_rays_are_json_arrays(self, rays):
+        bad = next(r for r in rays if not isinstance(r, list))
+        message = f"fan rays must be [x, y] arrays, got {bad!r}"
+        with pytest.raises(lf.FanError, match=re.escape(message)):
+            lf.fan_from_json(rays)
