@@ -143,7 +143,9 @@ def _boundary_from_json(data) -> object:
         k, ranks = data.get("k", 2), data.get("ranks")
         if isinstance(k, (bool, float)):
             raise CliInputError(f"boundary k must be an integer, got {k!r}")
-        return atlas.MultiComponent(int(k), tuple(ranks) if ranks else None)
+        if ranks is not None and not isinstance(ranks, list):
+            raise CliInputError(f"boundary ranks must be an array, got {ranks!r}")
+        return atlas.MultiComponent(int(k), None if ranks is None else tuple(ranks))
     if kind == "nodal_smooth_locus":
         return atlas.NodalSmoothLocus()
     if kind == "nodal_at_A":

@@ -322,7 +322,7 @@ def _search_key(g: bg.BoundaryGraph, index: dict) -> tuple:
     """
     by_id = {v.id: v for v in g.vertices}
     sqs = [by_id[vid].self_int for vid in index]
-    scale = lcm(*(s.denominator for s in sqs))
+    scale = lcm(*[s.denominator for s in sqs])
     originals = tuple(
         (s.numerator * (scale // s.denominator), by_id[vid].nodes) for s, vid in zip(sqs, index)
     )

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 import reference_core as ref
@@ -606,6 +610,93 @@ class TestFastPathsMatchReference:
         assert bg.validate_cy(g) == ref.validate_cy(g) == [("A", Fr(0)), ("B", Fr(1))]
         assert not bg.is_calabi_yau(g)
         assert bg.is_calabi_yau(build([bg.CurveVertex("A", 9, 1, 1)]))
+
+    def test_large_graphs(self):
+        # the graphs of long surgery sequences: seeds grown past 20 vertices
+        rng = random.Random(20261018)
+        balanced, seen = set(), set()
+        for i in range(16):
+            g = (random_balanced_seed, _contracted_chain)[i % 2](rng)
+            for _ in range(20):
+                g, _ = random_crepant_blowup(rng, g)
+            assert len(g.vertices) > 20
+            # denominators that only the last vertex, past the twentieth, carries
+            last = g.vertices[-1]
+            tail = replace(last, self_int=last.self_int + Fr(2, 5), coeff=last.coeff - Fr(1, 7))
+            tail_nudged = build(g.vertices[:-1] + (tail,), g.edges, g.marked_points, g.picard_rank)
+            for h in _variants(rng, g) + [tail_nudged]:
+                residuals = ref.validate_cy(h)
+                assert repr(bg.validate_cy(h)) == repr(residuals)
+                cy = bg.is_calabi_yau(h)
+                assert cy == all(r == 0 for _, r in residuals)
+                balanced.add(cy)
+                for v in h.vertices:
+                    seen.add("int fields" if type(v.self_int) is int else "Fraction fields")
+                    if v.coeff.denominator > 1:
+                        seen.add("non-integral coefficient")
+                    if v.self_int.denominator > 1:
+                        seen.add("non-integral self-intersection")
+        assert balanced == {True, False}
+        assert seen == {"int fields", "Fraction fields", "non-integral coefficient",
+                        "non-integral self-intersection"}
+
+
+_RSS_PROBE = """
+import random
+
+from cypair import boundary_graph as bg
+from helpers import random_balanced_seed
+
+rng = random.Random(7)
+sequences = [(random_balanced_seed(rng), [rng.randrange(1 << 30) for _ in range(24)])
+             for _ in range(40)]
+
+
+def one_pass():
+    for g, choices in sequences:
+        for step, r in enumerate(choices):
+            moves = [("edge", e) for e in g.edges] + [("interior", v.id) for v in g.vertices]
+            kind, target = moves[r % len(moves)]
+            eid = f"X{step}"
+            if kind == "edge":
+                up = bg.blowup_corner(g, edge=(target.a, target.b), new_id=eid)
+            else:
+                up = bg.blowup_interior(g, target, new_id=eid)
+            assert bg.is_calabi_yau(up) and bg.blowdown(up, eid) == g
+            g = up
+
+
+def peak_rss_kib():
+    # VmHWM is the peak of this process's own address space; ru_maxrss also
+    # keeps the peak of the process that forked this one, here pytest's
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+one_pass()
+before = peak_rss_kib()
+for _ in range(15):
+    one_pass()
+print(peak_rss_kib() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_repeated_surgery_passes_keep_rss_flat():
+    """Repeated passes of blow-ups, Calabi-Yau tests and blow-downs on
+    graphs growing past 20 vertices keep no memory, so after a warm-up
+    pass the peak RSS of a fresh process must stay flat."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    growth_kib = int(proc.stdout)
+    assert growth_kib < 1.5 * 1024, f"peak RSS grew by {growth_kib / 1024:.2f} MB over 15 passes"
 
 
 def _random_chain_graph(rng: random.Random):

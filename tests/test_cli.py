@@ -158,6 +158,39 @@ class TestDecidePair:
             2, "", "error: bad pair spec: intersection A-ranks must be two positive integers\n"
         )
 
+    # A8 is a volume-one surface, which needs the ranks; A4 has volume 5
+    @pytest.mark.parametrize("sings", ["A8", "A4"])
+    @pytest.mark.parametrize("ranks", [False, 0, "", "ab", {}, 3])
+    def test_ranks_that_are_not_an_array_exit_2(self, capsys, sings, ranks):
+        spec = json.dumps({
+            "singularities": sings,
+            "boundary": {"kind": "multi_component", "k": 2, "ranks": ranks},
+        })
+        assert invoke(capsys, "decide-pair", spec) == (
+            2, "", f"error: boundary ranks must be an array, got {ranks!r}\n"
+        )
+
+    @pytest.mark.parametrize("sings", ["A8", "A4"])
+    def test_empty_ranks_exit_2(self, capsys, sings):
+        spec = json.dumps({
+            "singularities": sings,
+            "boundary": {"kind": "multi_component", "k": 2, "ranks": []},
+        })
+        assert invoke(capsys, "decide-pair", spec) == (
+            2, "", "error: bad pair spec: intersection A-ranks must be two positive integers\n"
+        )
+
+    @pytest.mark.parametrize("boundary", [
+        {"kind": "multi_component", "k": 2},
+        {"kind": "multi_component", "k": 2, "ranks": None},
+    ])
+    def test_missing_or_null_ranks_mean_none(self, capsys, boundary):
+        a8 = json.dumps({"singularities": "A8", "boundary": boundary})
+        code, _, err = invoke(capsys, "decide-pair", a8)
+        assert (code, "need the A-ranks" in err) == (3, True)
+        a4 = json.dumps({"singularities": "A4", "boundary": boundary})
+        assert invoke_json(capsys, "decide-pair", a4)["case"] == 1
+
 
 class TestCheckFiber:
     def test_rank_one_volume_four(self, capsys):
