@@ -63,20 +63,30 @@ def emit_dot(g: bgm.BoundaryGraph) -> str:
 # -- input plumbing ---------------------------------------------------------
 
 
+def _json(text: str):
+    """``json.loads``, with any ``ValueError`` it raises as an input error:
+    a decode error, or an integer literal past CPython's digit limit."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+
+
 def _read_spec(text: str):
     """Resolve a SPEC argument: '-', inline JSON, 'fixture:NAME' or a path."""
     if text == "-":
-        return json.loads(sys.stdin.read())
+        return _json(sys.stdin.read())
     if text.startswith("fixture:"):
         return fixtures.load_fixture(text[len("fixture:"):])
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
+        return _json(stripped)
     try:
         with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            source = fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read spec {text!r}: {exc}") from exc
+    return _json(source)
 
 
 def _read_value(text: str, cls, from_json, error):
@@ -252,7 +262,7 @@ _GRAPH_OPS = {
 def _cmd_graph(args):
     g = _read_value(args.spec, bgm.BoundaryGraph, bgm.graph_from_json, bgm.GraphError)
     if args.apply:
-        g = _apply_script(g, json.loads(args.apply))
+        g = _apply_script(g, _json(args.apply))
     return _GRAPH_OPS["dot" if args.format == "dot" else args.op](g, args)
 
 
@@ -393,11 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_INPUT_ERRORS = (
-    CliInputError,
-    json.JSONDecodeError,
-    fixtures.UnknownFixture,
-)
+_INPUT_ERRORS = (CliInputError, fixtures.UnknownFixture)
 
 _MODULE_ERRORS = (
     lf.FanError,

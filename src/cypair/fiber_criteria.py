@@ -49,8 +49,11 @@ def node_location(text: str) -> str:
         raise FiberError(f"node location must be a string, got {text!r}")
     if text == SMOOTH_POINT:
         return text
-    if text.startswith("A") and text[1:].isdigit() and int(text[1:]) >= 1:
-        return text
+    try:
+        if text.startswith("A") and text[1:].isdigit() and int(text[1:]) >= 1:
+            return text
+    except ValueError:
+        pass  # a digit string int() refuses: past the digit limit, or not decimal
     raise FiberError(f"bad node location {text!r}; expected 'smooth' or 'A<n>'")
 
 
@@ -240,16 +243,17 @@ class Witness:
     node: tuple
 
 
-def _boundary_nodes(g: bg.BoundaryGraph) -> list[tuple]:
-    """Intersection points and self-nodes of the boundary, sorted: the
-    corner blow-up targets."""
-    nodes: list[tuple] = []
+def _corners(g: bg.BoundaryGraph, index: dict):
+    """The corner blow-up targets of ``g`` in sorted order, as (target,
+    corner, m): intersection points, then nodal curves, both stored sorted.
+    ``corner`` (original indices, -1 for an exceptional curve) and ``m``
+    (the edge's multiplicity, 0 at a node) are what ``_child_key`` reads."""
     for e in g.edges:
-        nodes.append(("edge", e.a, e.b))
+        i, j = index.get(e.a, -1), index.get(e.b, -1)
+        yield ("edge", e.a, e.b), (min(i, j), max(i, j)), e.multiplicity
     for v in g.vertices:
-        if v.nodes >= 1:
-            nodes.append(("node", v.id))
-    return sorted(nodes)
+        if v.nodes:
+            yield ("node", v.id), (index[v.id],), 0
 
 
 def _negative_definite(gram: list[list[int]]) -> bool:
@@ -403,6 +407,14 @@ def _blown_up(parent: bg.BoundaryGraph, script: tuple) -> bg.BoundaryGraph:
     return bg.blowup_corner(parent, node=target[1])
 
 
+def _witness(parent: bg.BoundaryGraph, script: tuple, m: list[int], index: dict) -> Witness:
+    """The divisor ``m`` found on a frontier entry's graph, and the first
+    corner of that graph off its support."""
+    corners = _corners(_blown_up(parent, script), index)
+    node = next(t for t, corner, _ in corners if not any(i >= 0 and m[i] for i in corner))
+    return Witness(script, dict(zip(index, m)), node)
+
+
 def prop51_witness_search(
     fiber: bg.BoundaryGraph, max_blowups: int = 3, coeff_cap: int = 6
 ) -> Witness | None:
@@ -424,20 +436,14 @@ def prop51_witness_search(
       self-intersections, which keeps the sign of every value.  A prefix
       whose support already meets every boundary node is skipped whole,
       before any form is evaluated.
-    - A script is dropped from the frontier when its ``_search_key`` was
-      already seen, at this depth or an earlier one, and this is decided
-      before its graph is built: ``_child_key`` derives a child's key from
-      its parent's key, the corner and that corner's edge multiplicity.
-      The scan, ``_divisor_witness``, reads nothing but the key, so equal
-      keys give equal scans.  The key also fixes the multiset of the keys
-      of the graph's children, because exceptional curves never carry
-      nodes.  So every subtree that is dropped is mirrored by one that
-      was kept and comes earlier in the breadth-first order; the kept
-      scripts are a subsequence of that order, and the first graph with a
-      witness is the same graph with the same script.  A kept script's
-      graph is built only when it is expanded, or when it has the witness
-      and the witness's boundary node is named on it, so the last layer
-      is never built.
+    - A script whose ``_search_key`` was already seen is dropped before
+      its graph is built: ``_child_key`` derives a child's key from its
+      parent's.  The scan, ``_divisor_witness``, reads only the key, and
+      the key fixes the keys of the graph's children (exceptional curves
+      carry no nodes), so each dropped subtree mirrors a kept one that
+      comes earlier in breadth-first order.  A kept script is scanned as
+      soon as its key is derived, which is that order, and its graph is
+      built only to expand it or to name the witness's node.
     - A graph whose Gram matrix is negative definite is not scanned:
       there every nonzero divisor has negative self-intersection.
 
@@ -458,37 +464,26 @@ def prop51_witness_search(
         raise PreconditionFailed("witness search needs a log canonical graph: no marked points")
     index = {vid: i for i, vid in enumerate(fiber.ids())}
     key = _search_key(fiber, index)
+    m = _divisor_witness(key, coeff_cap)
+    if m is not None:
+        return _witness(fiber, (), m, index)
     seen = {key}
     # (parent graph, script, key): the entry's graph is the parent blown
     # up at the script's last target, built by _blown_up when needed
     frontier: list[tuple[bg.BoundaryGraph, tuple, tuple]] = [(fiber, (), key)]
-    for depth in range(max_blowups + 1):
-        for parent, script, key in frontier:
-            m = _divisor_witness(key, coeff_cap)
-            if m is not None:
-                divisor = dict(zip(index, m))
-                node = next(
-                    t
-                    for t in _boundary_nodes(_blown_up(parent, script))
-                    if not any(divisor.get(v) for v in t[1:])
-                )
-                return Witness(script, divisor, node)
-        if depth == max_blowups:
-            break
+    for _ in range(max_blowups):
         nxt = []
         for parent, script, key in frontier:
             g = _blown_up(parent, script)
-            # the targets in _boundary_nodes order: edges, then nodal curves
-            children = []
-            for e in g.edges:
-                i, j = index.get(e.a, -1), index.get(e.b, -1)
-                children.append((("edge", e.a, e.b), (min(i, j), max(i, j)), e.multiplicity))
-            children += [(("node", v.id), (index[v.id],), 0) for v in g.vertices if v.nodes]
-            for target, corner, m in children:
-                child = _child_key(key, corner, m)
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append((g, script + (target,), child))
+            for target, corner, mult in _corners(g, index):
+                child = _child_key(key, corner, mult)
+                if child in seen:
+                    continue
+                seen.add(child)
+                m = _divisor_witness(child, coeff_cap)
+                if m is not None:
+                    return _witness(g, script + (target,), m, index)
+                nxt.append((g, script + (target,), child))
         frontier = nxt
     return None
 

@@ -74,10 +74,14 @@ def parse_singularities(text: str) -> tuple[SingularityLabel, ...]:
         m = _TERM.match(term.strip())
         if not m:
             raise AtlasError(f"cannot parse singularity term {term.strip()!r}")
-        count = int(m.group(1) or 1)
-        if count < 1:
+        try:
+            count, rank = int(m.group(1) or 1), int(m.group(3))
+        except ValueError as exc:  # a digit string past CPython's digit limit
+            raise AtlasError(f"cannot parse singularity term: {exc}") from exc
+        # a rank-one surface has at most 8 singular points
+        if not 1 <= count <= 8:
             raise AtlasError(f"bad multiplicity in {term.strip()!r}")
-        out.extend([SingularityLabel(m.group(2), int(m.group(3)))] * count)
+        out.extend([SingularityLabel(m.group(2), rank)] * count)
     return tuple(sorted(out))
 
 

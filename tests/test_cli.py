@@ -38,6 +38,16 @@ def _k(k):
     return json.dumps({"singularities": "A1", "boundary": {"kind": "multi_component", "k": k}})
 
 
+# a JSON integer literal past CPython's 4,300-digit limit for int(), and
+# what int() and json.loads say of it
+HUGE = "1" * 5000
+try:
+    json.loads(HUGE)
+except ValueError as exc:
+    TOO_LONG = str(exc)
+HUGE_SPEC = f'{{"vertices": [], "rho": {HUGE}}}'
+
+
 # (argv, exit code, stderr) of inputs that used to crash or be misread
 REFUSED = [
     (["fan", "[1,2,3]"], 2, "error: fan rays must be [x, y] arrays, got 1\n"),
@@ -60,6 +70,16 @@ REFUSED = [
     (["decide-pair", _k(True)], 2, "error: boundary k must be an integer, got True\n"),
     (["graph", TRIANGLE, "--op", "witness"], 3,
      "error: PreconditionFailed: witness search needs a log canonical graph: no marked points\n"),
+    (["graph", HUGE_SPEC], 2, f"error: {TOO_LONG}\n"),
+    (["graph", "fixture:p2.triangle", "--apply", f"[{HUGE}]"], 2, f"error: {TOO_LONG}\n"),
+    (["classify", "99999999999999999999A1"], 2,
+     "error: bad multiplicity in '99999999999999999999A1'\n"),
+    (["classify", "3000000000A1"], 2, "error: bad multiplicity in '3000000000A1'\n"),
+    (["classify", "9A1"], 2, "error: bad multiplicity in '9A1'\n"),
+    (["classify", f"A{HUGE}"], 2, f"error: cannot parse singularity term: {TOO_LONG}\n"),
+    (["decide-pair", json.dumps({"singularities": "99999999999999999999A1",
+                                 "boundary": {"kind": "nodal_smooth_locus"}})], 2,
+     "error: bad pair spec: bad multiplicity in '99999999999999999999A1'\n"),
 ]
 
 
@@ -564,6 +584,17 @@ class TestCorpusRoundTrips:
         assert invoke(capsys, "graph", "not json and not a file")[0] == 2
         assert invoke(capsys, "graph", "fixture:p2.triangle", "--apply", "[42]")[0] == 2
 
+    def test_json_value_errors_exit_2_from_every_source(self, capsys, monkeypatch, tmp_path):
+        # a decode error prints what it printed before json.loads was
+        # wrapped; an integer past the digit limit is an input error too
+        path = tmp_path / "graph.json"
+        for spec, err in (('{"vertices": [}', "Expecting value: line 1 column 15 (char 14)"),
+                          (HUGE_SPEC, TOO_LONG)):
+            path.write_text(spec, encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+            for source in (spec, "-", str(path)):
+                assert invoke(capsys, "graph", source) == (2, "", f"error: {err}\n")
+
 
 class TestExpectedVerdictTable:
     def test_every_fixture_matches_the_frozen_table(self, capsys):
@@ -632,11 +663,13 @@ class TestModuleEntryPoint:
         assert (proc.returncode, err) == (0, "")
         assert out.startswith("usage: ")
 
-    def test_exit_codes_without_traceback(self):
-        # one input per exit code, then every input in REFUSED; the
-        # processes run side by side
+    def test_exit_codes_without_traceback(self, tmp_path):
+        # one input per exit code, a spec file past the digit limit, then
+        # every input in REFUSED; the processes run side by side
+        path = tmp_path / "graph.json"
+        path.write_text(HUGE_SPEC, encoding="utf-8")
         cases = [(["classify", "A1"], 0), (["classify", "B3"], 2),
-                 (["graph", "fixture:ex64.pair", "--op", "witness"], 3)]
+                 (["graph", "fixture:ex64.pair", "--op", "witness"], 3), (["graph", str(path)], 2)]
         cases += [(argv, code) for argv, code, _ in REFUSED]
         procs = [(argv, code, _cli_process(*argv)) for argv, code in cases]
         for argv, code, proc in procs:

@@ -29,6 +29,11 @@ class TestFiberSpec:
     def test_node_location_validation(self):
         with pytest.raises(fc.FiberError):
             spec([(1, True)], rank=1, at="B2")
+        # digit strings int() refuses: past its digit limit, and not decimal
+        for at in ("A" + "1" * 5000, "A\u00b2"):
+            with pytest.raises(fc.FiberError, match="^bad node location "):
+                fc.node_location(at)
+        assert fc.node_location("A01") == "A01"
 
     def test_nothing_is_coerced(self):
         with pytest.raises(fc.FiberError, match="rank must be an integer, got 1.9"):
@@ -343,11 +348,30 @@ class TestPrunedSearchMatchesReference:
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
         assert len(built) == 11
 
+    def test_search_stops_at_the_first_witness(self, monkeypatch):
+        # a 4-cycle with its witness at depth 2: the search returns as soon
+        # as it scans it, having built the one graph it expanded and the
+        # witness's graph; finishing the layer first would build 5
+        g = bg.BoundaryGraph.build(
+            [("C1", Fr(-5, 3), 1), ("E1", -1, 1), ("C2", Fr(-5, 3), 1), ("E2", -1, 1)],
+            [("C1", "E1"), ("E1", "C2"), ("C2", "E2"), ("E2", "C1")],
+            rho=4,
+        )
+        want = reference_witness.prop51_witness_search(g, 2)
+        assert want.script == (("edge", "C1", "E1"), ("edge", "C1", "E3"))
+        built = []
+        blowup_corner = bg.blowup_corner
+        monkeypatch.setattr(
+            bg, "blowup_corner", lambda *a, **k: built.append(1) or blowup_corner(*a, **k)
+        )
+        assert fc.prop51_witness_search(g, 2) == want
+        assert len(built) == 2
+
 
 def _corners(g: bg.BoundaryGraph, index: dict):
     """Each corner blow-up of ``g`` that is not refused: the child graph
     and the arguments of ``_child_key`` for it."""
-    for target in fc._boundary_nodes(g):
+    for target in reference_witness._boundary_nodes(g):
         if target[0] == "node":
             yield bg.blowup_corner(g, node=target[1]), (index[target[1]],), 0
             continue
@@ -357,6 +381,36 @@ def _corners(g: bg.BoundaryGraph, index: dict):
             continue  # a shielded corner
         i, j = sorted(index.get(v, -1) for v in target[1:])
         yield child, (i, j), g.intersection(*target[1:])
+
+
+class TestCorners:
+    """``_corners`` yields the targets of the reference's sorted
+    ``_boundary_nodes``, in its order, with the arguments of
+    ``_child_key`` that the test helper ``_corners`` derives."""
+
+    def _check(self, graphs):
+        for g in graphs:
+            index = {vid: i for i, vid in enumerate(g.ids())}
+            for h in [g] + [child for child, _, _ in _corners(g, index)]:
+                got = list(fc._corners(h, index))
+                assert [t for t, _, _ in got] == reference_witness._boundary_nodes(h), h
+                for target, corner, m in got:
+                    if target[0] == "node":
+                        assert (corner, m) == ((index[target[1]],), 0)
+                    else:
+                        ends = sorted(index.get(v, -1) for v in target[1:])
+                        assert (list(corner), m) == (ends, h.intersection(*target[1:]))
+
+    def test_graph_fixtures(self):
+        self._check(
+            fixtures.load_fixture(name)
+            for name in fixtures.fixture_names()
+            if fixtures.fixture_kind(name) == "graph"
+        )
+
+    def test_random_fibers(self):
+        rng = random.Random(20261018)
+        self._check(random_witness_fiber(rng) for _ in range(300))
 
 
 class TestChildKey:

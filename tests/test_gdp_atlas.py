@@ -35,6 +35,18 @@ class TestSingularityLabels:
         with pytest.raises(atlas.AtlasError):
             atlas.SingularityLabel("E", 5)
 
+    def test_multiplicity_is_one_to_eight(self):
+        # a rank-one surface has at most 8 singular points
+        assert len(atlas.parse_singularities("8A1")) == 8
+        for text in ("0A1", "9A1", "3000000000A1", "99999999999999999999A1"):
+            with pytest.raises(atlas.AtlasError, match=f"^bad multiplicity in '{text}'$"):
+                atlas.parse_singularities(text)
+
+    def test_digit_strings_past_the_int_limit(self):
+        for text in ("1" * 5000 + "A1", "A" + "1" * 5000):
+            with pytest.raises(atlas.AtlasError, match="^cannot parse singularity term: "):
+                atlas.parse_singularities(text)
+
 
 class TestVolume:
     def test_values(self):
