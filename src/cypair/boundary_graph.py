@@ -11,12 +11,22 @@ lattice.
 All graphs are immutable values; every operation returns a new graph.
 Self-nodes are vertex-local counters rather than loop edges, which keeps
 the blow-down arithmetic (the m-choose-2 rule) explicit.
+
+The value types here and in the other modules are ``namedtuple``
+subclasses with empty ``__slots__``: their repr, hash, ordering and
+same-class equality are those of the tuple of their fields, and fields
+cannot be set.  Three tuple traits remain:
+
+- A record equals the plain tuple of its fields.
+- ``_replace`` skips ``__new__``, so build through the constructor
+  wherever a check matters.
+- ``Fan2.__len__`` breaks ``_make`` and ``_replace`` on ``Fan2``, so do
+  not call either on it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -61,57 +71,50 @@ class InvalidCoefficient(GraphError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class CurveVertex:
+class CurveVertex(namedtuple("CurveVertex", "id self_int coeff nodes")):
     """A rational boundary curve: self-intersection, coefficient, node count."""
 
-    id: str
-    self_int: Fraction
-    coeff: Fraction
-    nodes: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coeff > 1:
-            raise InvalidGraph(f"coefficient of {self.id} exceeds 1")
-        if self.nodes < 0:
-            raise InvalidGraph(f"negative node count on {self.id}")
+    def __new__(cls, id: str, self_int: Fraction, coeff: Fraction, nodes: int = 0):
+        if coeff > 1:
+            raise InvalidGraph(f"coefficient of {id} exceeds 1")
+        if nodes < 0:
+            raise InvalidGraph(f"negative node count on {id}")
+        return super().__new__(cls, id, self_int, coeff, nodes)
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(namedtuple("Edge", "a b multiplicity")):
     """Transverse intersection points between two distinct curves."""
 
-    a: str
-    b: str
-    multiplicity: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == self.b:
+    def __new__(cls, a: str, b: str, multiplicity: int = 1):
+        if a == b:
             raise InvalidGraph("self-loops are vertex node counters, not edges")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise InvalidGraph("edge multiplicity must be positive")
+        return super().__new__(cls, a, b, multiplicity)
 
     def other(self, v: str) -> str:
         return self.b if v == self.a else self.a
 
 
-@dataclass(frozen=True, order=True)
-class MarkedPoint:
+class MarkedPoint(namedtuple("MarkedPoint", "branches")):
     """A point where at least three boundary branches meet transversally."""
 
-    branches: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.branches) < 3:
+    def __new__(cls, branches: tuple[str, ...]):
+        if len(branches) < 3:
             raise InvalidGraph("marked points need at least 3 branches")
+        return super().__new__(cls, branches)
 
 
-@dataclass(frozen=True)
-class BoundaryGraph:
-    vertices: tuple[CurveVertex, ...]
-    edges: tuple[Edge, ...]
-    marked_points: tuple[MarkedPoint, ...] = ()
-    picard_rank: int = 1
+class BoundaryGraph(
+    namedtuple("BoundaryGraph", "vertices edges marked_points picard_rank", defaults=((), 1))
+):
+    __slots__ = ()
 
     @staticmethod
     def build(vertices, edges=(), marked_points=(), rho: int = 1) -> "BoundaryGraph":
@@ -496,12 +499,10 @@ def resolve_An_at_node(B_sq, n: int, base_rank: int = 1) -> BoundaryGraph:
     return BoundaryGraph.build(vs, es, rho=base_rank + n)
 
 
-@dataclass(frozen=True)
-class ChainContraction:
+class ChainContraction(namedtuple("ChainContraction", "singular mark_ranks")):
     """The singular model, and the rank k of each A_k point it gained, sorted."""
 
-    singular: BoundaryGraph
-    mark_ranks: list[int]
+    __slots__ = ()
 
 
 def _minus2_components(g: BoundaryGraph) -> list[list[str]]:
@@ -601,7 +602,7 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
         num = sum(mi * mj * (min(i, j) + 1) * (k - max(i, j)) for i, mi in vec for j, mj in vec)
         sq_gain[vid] += Fraction(num, k + 1)
     vs = [
-        replace(v, self_int=v.self_int + sq_gain[v.id])
+        CurveVertex(v.id, v.self_int + sq_gain[v.id], v.coeff, v.nodes)
         for v in g.vertices
         if v.id not in removed
     ]

@@ -168,6 +168,10 @@ def _boundary_from_json(data) -> object:
 
 def _cmd_decide_pair(args) -> dict:
     data = _read_spec(args.spec)
+    if isinstance(data, tuple):
+        # a fixture value (no fixture holds a pair spec): name its type
+        # rather than fail below on tuple indices
+        raise CliInputError(f"bad pair spec: {type(data).__name__!r} object is not subscriptable")
     try:
         sings = atlas.parse_singularities(data["singularities"])
         boundary = _boundary_from_json(data["boundary"])

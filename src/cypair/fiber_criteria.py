@@ -16,7 +16,7 @@ witness that a fiber of a cluster-type model must admit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -63,32 +63,42 @@ def _flag(value, field: str, source: str = "fiber spec") -> bool:
     return value
 
 
-@dataclass(frozen=True)
-class FiberComponent:
-    self_int: Fraction
-    irreducible_over_base: bool = True
+class FiberComponent(
+    namedtuple("FiberComponent", "self_int irreducible_over_base", defaults=(True,))
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FiberSpec:
-    components: tuple[FiberComponent, ...]
-    has_node: bool
-    volume: Fraction
-    rel_picard_rank: int
-    boundary_in_smooth_locus: bool = True
-    node_at: str = SMOOTH_POINT
+class FiberSpec(
+    namedtuple(
+        "FiberSpec",
+        "components has_node volume rel_picard_rank boundary_in_smooth_locus node_at",
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        rank = self.rel_picard_rank
+    def __new__(
+        cls,
+        components: tuple[FiberComponent, ...],
+        has_node: bool,
+        volume: Fraction,
+        rel_picard_rank: int,
+        boundary_in_smooth_locus: bool = True,
+        node_at: str = SMOOTH_POINT,
+    ):
+        rank = rel_picard_rank
         if rank not in (1, 2):
             raise FiberError("relative Picard rank must be 1 or 2")
         # standard-model accounting: one horizontal component per unit of
         # relative rank below the relative dimension
-        if len(self.components) != rank:
+        if len(components) != rank:
             raise FiberError(f"rank-{rank} fiber needs exactly {rank} boundary components")
-        if self.volume <= 0:
+        if volume <= 0:
             raise FiberError("fiber volume must be positive")
-        node_location(self.node_at)
+        node_location(node_at)
+        return super().__new__(
+            cls, components, has_node, volume, rank, boundary_in_smooth_locus, node_at
+        )
 
     @staticmethod
     def build(components, has_node, volume, rank, smooth_locus=True, node_at=SMOOTH_POINT):
@@ -112,21 +122,20 @@ class FiberSpec:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    cluster_type: bool
-    failed_conditions: tuple[int, ...] = ()
+class Verdict(namedtuple("Verdict", "cluster_type failed_conditions", defaults=((),))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeightedCornerData:
+class WeightedCornerData(
+    namedtuple(
+        "WeightedCornerData",
+        "c1_tilde_sq c2_tilde_sq c1_dot_e c2_dot_e c1_dot_c2",
+        defaults=(Fraction(1),),
+    )
+):
     """Intersection numbers after the (x^alpha, y^beta) corner blow-up."""
 
-    c1_tilde_sq: Fraction
-    c2_tilde_sq: Fraction
-    c1_dot_e: Fraction
-    c2_dot_e: Fraction
-    c1_dot_c2: Fraction = Fraction(1)
+    __slots__ = ()
 
 
 def _criterion(f: FiberSpec, rank: int, condition_3: bool) -> Verdict:
@@ -228,8 +237,7 @@ def obstruction_value(m1: int, m2: int, data: WeightedCornerData) -> Fraction:
 # -- witness search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "script divisor node")):
     """A depth-bounded certificate for the toric-blow-up criterion.
 
     ``script`` lists the corner blow-ups performed (("edge", a, b) or
@@ -238,9 +246,7 @@ class Witness:
     locates a boundary node outside the divisor's support.
     """
 
-    script: tuple[tuple, ...]
-    divisor: dict
-    node: tuple
+    __slots__ = ()
 
 
 def _corners(g: bg.BoundaryGraph, index: dict):

@@ -17,13 +17,8 @@ so the decisions load on their own.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .boundary_graph import BoundaryGraph
 
 
 class AtlasError(Exception):
@@ -38,22 +33,21 @@ class InconsistentSpec(AtlasError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SingularityLabel:
+class SingularityLabel(namedtuple("SingularityLabel", "family rank")):
     """A du Val singularity type A_n, D_n or E_n."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("A", "D", "E"):
-            raise AtlasError(f"unknown singularity family {self.family!r}")
-        if self.family == "A" and self.rank < 1:
+    def __new__(cls, family: str, rank: int):
+        if family not in ("A", "D", "E"):
+            raise AtlasError(f"unknown singularity family {family!r}")
+        if family == "A" and rank < 1:
             raise AtlasError("A-type rank must be at least 1")
-        if self.family == "D" and self.rank < 4:
+        if family == "D" and rank < 4:
             raise AtlasError("D-type rank must be at least 4")
-        if self.family == "E" and self.rank not in (6, 7, 8):
+        if family == "E" and rank not in (6, 7, 8):
             raise AtlasError("E-type rank must be 6, 7 or 8")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -107,10 +101,8 @@ def volume_of(sings) -> int:
     return 9 - total
 
 
-@dataclass(frozen=True)
-class SurfaceVerdict:
-    cluster_type: bool
-    reason: str
+class SurfaceVerdict(namedtuple("SurfaceVerdict", "cluster_type reason")):
+    __slots__ = ()
 
 
 def classify_surface(sings) -> SurfaceVerdict:
@@ -128,64 +120,62 @@ def classify_surface(sings) -> SurfaceVerdict:
         return SurfaceVerdict(True, f"A-type singularities and volume {vol} > 1")
     if len(sings) <= 3:
         return SurfaceVerdict(True, f"A-type singularities and {len(sings)} <= 3 singular points")
+    # volume one leaves total rank 8, so four to eight points
+    count = ("four", "five", "six", "seven", "eight")[len(sings) - 4]
     return SurfaceVerdict(
-        False, "volume one with four A-type singular points is not cluster type"
+        False, f"volume one with {count} A-type singular points is not cluster type"
     )
 
 
 # -- boundary shapes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiComponent:
+class MultiComponent(namedtuple("MultiComponent", "k ranks")):
     """Boundary with k >= 2 components; for k = 2 on a volume-one surface,
     ``ranks`` gives the A-ranks at the two intersection points."""
 
-    k: int
-    ranks: tuple[int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.k) is not int or self.k < 2:
+    def __new__(cls, k: int, ranks: tuple[int, int] | None = None):
+        if type(k) is not int or k < 2:
             raise InconsistentSpec("a multi-component boundary needs k >= 2")
-        if self.ranks is not None and (
-            len(self.ranks) != 2
-            or any(type(r) is not int or r < 1 for r in self.ranks)
+        if ranks is not None and (
+            len(ranks) != 2
+            or any(type(r) is not int or r < 1 for r in ranks)
         ):
             raise InconsistentSpec("intersection A-ranks must be two positive integers")
+        return super().__new__(cls, k, ranks)
 
 
-@dataclass(frozen=True)
-class NodalSmoothLocus:
+class NodalSmoothLocus(namedtuple("NodalSmoothLocus", "")):
     """Irreducible nodal boundary inside the smooth locus."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NodalAtA:
+
+class NodalAtA(namedtuple("NodalAtA", "n")):
     """Irreducible nodal boundary with an A_n point at the node."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int):
+        if n < 1:
             raise InconsistentSpec("the node must sit at an A_n point with n >= 1")
+        return super().__new__(cls, n)
 
 
-@dataclass(frozen=True)
-class PairSpec:
-    singularities: tuple[SingularityLabel, ...]
-    boundary: object
+class PairSpec(namedtuple("PairSpec", "singularities boundary")):
+    __slots__ = ()
 
     @staticmethod
     def build(sings, boundary) -> "PairSpec":
         return PairSpec(_as_labels(sings), boundary)
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    cluster_type: bool
-    case: object  # 1..5 or "infeasible"
-    volume: int
-    reason: str
+class PairVerdict(namedtuple("PairVerdict", "cluster_type case volume reason")):
+    """``case`` is 1..5 or "infeasible"."""
+
+    __slots__ = ()
 
 
 def two_component_feasibility(volume: int, n: int, m: int) -> bool:
@@ -272,22 +262,25 @@ def decide_pair(spec: PairSpec) -> PairVerdict:
 # -- catalog ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GdpFamily:
+class GdpFamily(namedtuple("GdpFamily", "singularities volume toric cluster_type fixture")):
     """A catalog family; ``fixture`` names the bundled fixture holding its
     resolution dual graph, or is None when no contraction diagram ships."""
 
-    singularities: tuple[SingularityLabel, ...]
-    volume: int
-    toric: bool
-    cluster_type: bool
-    fixture: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.volume != volume_of(self.singularities):
+    def __new__(
+        cls,
+        singularities: tuple[SingularityLabel, ...],
+        volume: int,
+        toric: bool,
+        cluster_type: bool,
+        fixture: str | None = None,
+    ):
+        if volume != volume_of(singularities):
             raise AtlasError("stored volume disagrees with the singularity ranks")
-        if self.volume < 1:
+        if volume < 1:
             raise AtlasError("volume must be positive")
+        return super().__new__(cls, singularities, volume, toric, cluster_type, fixture)
 
     @property
     def name(self) -> str:
@@ -342,12 +335,10 @@ def catalog() -> tuple[GdpFamily, ...]:
 # -- figure contraction scripts ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionReplay:
-    before: BoundaryGraph
-    after: BoundaryGraph
-    script: tuple[str, ...]
-    result: BoundaryGraph
+class ContractionReplay(namedtuple("ContractionReplay", "before after script result")):
+    """The fixture's two panels, the ids blown down and the computed graph."""
+
+    __slots__ = ()
 
 
 def apply_contraction_script(fig: str) -> ContractionReplay:

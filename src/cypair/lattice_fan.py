@@ -12,7 +12,7 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -49,18 +49,17 @@ class NoToricMorphism(FanError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class RayVector:
+class RayVector(namedtuple("RayVector", "x y")):
     """A primitive nonzero lattice vector."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.x, self.y) == (0, 0):
+    def __new__(cls, x: int, y: int):
+        if (x, y) == (0, 0):
             raise NonPrimitiveRay("ray must be nonzero")
-        if gcd(abs(self.x), abs(self.y)) != 1:
-            raise NonPrimitiveRay(f"ray {(self.x, self.y)} is not primitive")
+        if gcd(abs(x), abs(y)) != 1:
+            raise NonPrimitiveRay(f"ray {(x, y)} is not primitive")
+        return super().__new__(cls, x, y)
 
     def as_pair(self) -> tuple[int, int]:
         return (self.x, self.y)
@@ -71,8 +70,9 @@ def det(u: RayVector, v: RayVector) -> int:
     return u.x * v.y - u.y * v.x
 
 
-@dataclass(frozen=True)
-class FibrationData:
+class FibrationData(
+    namedtuple("FibrationData", "vertical_rays fiber_over_zero fiber_over_infinity")
+):
     """Classification of rays under a toric morphism to the projective line.
 
     ``vertical_rays`` holds indices of rays on which the linear form
@@ -81,16 +81,13 @@ class FibrationData:
     the three lists.
     """
 
-    vertical_rays: tuple[int, ...]
-    fiber_over_zero: tuple[tuple[int, int], ...]
-    fiber_over_infinity: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fan2:
+class Fan2(namedtuple("Fan2", "rays")):
     """Complete 2-D fan: counterclockwise primitive rays, canonical rotation."""
 
-    rays: tuple[RayVector, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -253,16 +250,28 @@ def subdivide_for_projection(fan: Fan2, L) -> Fan2:
     return out
 
 
+# The most rays ``_hj_chain`` inserts into one cone.  A chain can be as
+# long as the cone's determinant minus one, so without a cap a fan with
+# 20-digit coordinates would resolve until memory runs out.
+_HJ_CHAIN_CAP = 10_000
+
+
 def _hj_chain(u: RayVector, v: RayVector) -> list[RayVector]:
     """Rays of the minimal resolution of the cone <u, v>, from u towards v.
 
     Each step inserts the unique interior lattice vector w with
     det(u, w) = 1 closest to u; det(w, v) drops strictly, so iterating
-    yields the Hirzebruch-Jung chain.
+    yields the Hirzebruch-Jung chain.  A cone that needs more than
+    ``_HJ_CHAIN_CAP`` rays raises ``FanError``.
     """
     chain: list[RayVector] = []
-    d = det(u, v)
+    start, d = u, det(u, v)
     while d > 1:
+        if len(chain) == _HJ_CHAIN_CAP:
+            raise FanError(
+                f"resolving the cone <{start.as_pair()}, {v.as_pair()}> needs more than "
+                f"{_HJ_CHAIN_CAP} rays"
+            )
         # particular solution of u.x*wy - u.y*wx = 1 via the extended gcd
         a, b = _xgcd(u.x, u.y)
         w0x, w0y = -b, a

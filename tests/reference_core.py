@@ -4,8 +4,8 @@ This is ``validate_cy`` as it stood before the single-pass residuals,
 with ``Fraction`` arithmetic and an ``edges_at`` scan per vertex, and
 the blow-ups, the blow-down and ``is_crepant_blowdown`` as they stood
 before the trusted constructor: every result goes through the validating
-``BoundaryGraph.build`` and every changed vertex through
-``dataclasses.replace``.  ``cypair.boundary_graph`` must return equal
+``BoundaryGraph.build`` and every changed vertex through the checking
+``CurveVertex`` constructor.  ``cypair.boundary_graph`` must return equal
 values, or raise the same error with the same message.
 
 ``contract_minus2_chains`` and its ``_check_chain`` are kept as they
@@ -17,7 +17,6 @@ entry of the intersection vector, and a chord check through
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,7 +51,7 @@ def _fresh_id(g: bg.BoundaryGraph, prefix: str = "E") -> str:
 
 
 def _with_vertex(vs, vid, **changes):
-    return tuple(replace(v, **changes) if v.id == vid else v for v in vs)
+    return tuple(bg.CurveVertex(**{**v._asdict(), **changes}) if v.id == vid else v for v in vs)
 
 
 def blowup_corner(g: bg.BoundaryGraph, edge=None, node=None, new_id=None) -> bg.BoundaryGraph:
@@ -136,7 +135,7 @@ def blowdown(g: bg.BoundaryGraph, vertex: str) -> bg.BoundaryGraph:
         if w.id == vertex:
             continue
         m = mults.get(w.id, 0)
-        vs.append(replace(w, self_int=w.self_int + m * m, nodes=w.nodes + m * (m - 1) // 2))
+        vs.append(bg.CurveVertex(w.id, w.self_int + m * m, w.coeff, w.nodes + m * (m - 1) // 2))
     pair_gain = {}
     for a, b in combinations(sorted(mults), 2):
         pair_gain[(a, b)] = mults[a] * mults[b]
@@ -232,7 +231,7 @@ def contract_minus2_chains(g: bg.BoundaryGraph, chains=None) -> bg.ChainContract
                         )
                 sq_gain[v.id] += gain
     vs = [
-        replace(v, self_int=v.self_int + sq_gain[v.id])
+        bg.CurveVertex(v.id, v.self_int + sq_gain[v.id], v.coeff, v.nodes)
         for v in g.vertices
         if v.id not in removed
     ]

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import combinations
 from pathlib import Path
@@ -465,7 +464,7 @@ def test_marked_point_blowups_round_trip(seed, steps):
         g = rng.choice(allowed)
     # a smooth (-1)-curve through a marked point still cannot be contracted
     branch = rng.choice(g.marked_points[0].branches)
-    vs = [replace(v, self_int=Fr(-1), nodes=0) if v.id == branch else v for v in g.vertices]
+    vs = [bg.CurveVertex(v.id, Fr(-1), v.coeff, 0) if v.id == branch else v for v in g.vertices]
     with pytest.raises(bg.InvalidGraph):
         bg.blowdown(build(vs, g.edges, g.marked_points, g.picard_rank), branch)
 
@@ -622,7 +621,9 @@ class TestFastPathsMatchReference:
             assert len(g.vertices) > 20
             # denominators that only the last vertex, past the twentieth, carries
             last = g.vertices[-1]
-            tail = replace(last, self_int=last.self_int + Fr(2, 5), coeff=last.coeff - Fr(1, 7))
+            tail = bg.CurveVertex(
+                last.id, last.self_int + Fr(2, 5), last.coeff - Fr(1, 7), last.nodes
+            )
             tail_nudged = build(g.vertices[:-1] + (tail,), g.edges, g.marked_points, g.picard_rank)
             for h in _variants(rng, g) + [tail_nudged]:
                 residuals = ref.validate_cy(h)

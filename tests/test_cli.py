@@ -110,6 +110,11 @@ class TestClassify:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("sings, count", [("4A2", "four"), ("6A1+A2", "seven"), ("8A1", "eight")])
+    def test_volume_one_reason_counts_the_points(self, capsys, sings, count):
+        data = invoke_json(capsys, "classify", sings)
+        assert data["reason"] == f"volume one with {count} A-type singular points is not cluster type"
+
     def test_text_format(self, capsys):
         code, out, _ = invoke(capsys, "classify", "4A2", "--format", "text")
         assert code == 0
@@ -147,6 +152,14 @@ class TestDecidePair:
         spec = json.dumps({"singularities": "A4", "boundary": {"kind": "mystery"}})
         code, _, _ = invoke(capsys, "decide-pair", spec)
         assert code == 2
+
+    @pytest.mark.parametrize("name, kind", [
+        ("p2.triangle", "BoundaryGraph"), ("ex62.pic1", "FiberSpec"), ("case2.fan", "Fan2"),
+    ])
+    def test_fixture_spec_exits_2(self, capsys, name, kind):
+        assert invoke(capsys, "decide-pair", f"fixture:{name}") == (
+            2, "", f"error: bad pair spec: {kind!r} object is not subscriptable\n"
+        )
 
     @pytest.mark.parametrize("sings", [5, ["A1"]])
     def test_non_string_singularities_exit_2(self, capsys, sings):
@@ -461,6 +474,13 @@ class TestFanCommand:
     ])
     def test_missing_or_malformed_pair_exits_2(self, capsys, flags, message):
         assert invoke(capsys, "fan", "fixture:p2.fan", *flags) == (2, "", f"error: {message}\n")
+
+    def test_resolve_past_the_chain_cap_exits_3(self, capsys):
+        spec = "[[99999999999999999999,1],[0,1],[-1,-1]]"
+        assert invoke(capsys, "fan", spec, "--op", "resolve") == (
+            3, "", "error: FanError: resolving the cone <(99999999999999999999, 1), (0, 1)> "
+            "needs more than 10000 rays\n"
+        )
 
     def test_help_lists_ops_in_order(self, capsys):
         ops = "validate,smooth,self-intersections,complexity,resolve,subdivide,project,prepare-projection"

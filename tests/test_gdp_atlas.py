@@ -77,6 +77,16 @@ class TestClassifySurface:
         assert atlas.classify_surface("A8").cluster_type
         assert atlas.classify_surface("2A4").cluster_type
 
+    @pytest.mark.parametrize("sings, count", [
+        ("4A2", "four"), ("2A1+2A3", "four"), ("3A1+A2+A3", "five"),
+        ("4A1+2A2", "six"), ("6A1+A2", "seven"), ("8A1", "eight"),
+    ])
+    def test_volume_one_reason_counts_the_points(self, sings, count):
+        verdict = atlas.classify_surface(sings)
+        assert (verdict.cluster_type, verdict.reason) == (
+            False, f"volume one with {count} A-type singular points is not cluster type"
+        )
+
 
 class TestTwoComponentFeasibility:
     def test_examples(self):

@@ -203,6 +203,16 @@ class TestResolve:
         assert lf.is_smooth(once)
         assert lf.resolve(once) == once
 
+    def test_chain_cap(self):
+        # the cone <(1, 0), (1, d)> resolves by the d - 1 rays (1, 1) .. (1, d - 1)
+        at_cap = lf.resolve(lf.make_fan([(1, 0), (1, 10_001), (0, 1), (-1, -1)]))
+        assert lf.RayVector(1, 10_000) in at_cap.rays
+        assert len(at_cap.rays) == 4 + 10_000
+        with pytest.raises(lf.FanError, match=re.escape(
+            "resolving the cone <(1, 0), (1, 10002)> needs more than 10000 rays"
+        )):
+            lf.resolve(lf.make_fan([(1, 0), (1, 10_002), (0, 1), (-1, -1)]))
+
     def test_minimal_no_minus_one_inserted(self):
         # inserted rays in a resolved singular corner all have c <= -2
         singular = lf.make_fan([(1, 0), (1, 3), (-1, -1), (2, -5)])
