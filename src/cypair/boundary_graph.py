@@ -12,6 +12,13 @@ All graphs are immutable values; every operation returns a new graph.
 Self-nodes are vertex-local counters rather than loop edges, which keeps
 the blow-down arithmetic (the m-choose-2 rule) explicit.
 
+A vertex stores an integral self-intersection or coefficient as an
+``int`` and any other as a ``Fraction``; ``CurveVertex`` normalizes, so
+surgery and chain contraction results take the same form as parsed ones.
+The two forms compare and hash equal, but their reprs differ (``-1``
+against ``Fraction(-1, 1)``).  ``validate_cy`` still returns its
+residuals as ``Fraction``s.
+
 The value types here and in the other modules are ``namedtuple``
 subclasses with empty ``__slots__``: their repr, hash, ordering and
 same-class equality are those of the tuple of their fields, and fields
@@ -77,6 +84,11 @@ class CurveVertex(namedtuple("CurveVertex", "id self_int coeff nodes")):
     __slots__ = ()
 
     def __new__(cls, id: str, self_int: Fraction, coeff: Fraction, nodes: int = 0):
+        # integral rationals are stored as int, so every path stores one form
+        if self_int.denominator == 1:
+            self_int = self_int.numerator
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         if coeff > 1:
             raise InvalidGraph(f"coefficient of {id} exceeds 1")
         if nodes < 0:
@@ -255,7 +267,8 @@ def validate_cy(g: BoundaryGraph) -> list[tuple[str, Fraction]]:
     delta nodes the residual is (2*delta - 2 - c) + b*c + sum over the
     other components of coeff * intersection.  The pair is Calabi-Yau iff
     every residual vanishes.  Marked points refine where intersections sit
-    and contribute nothing here.
+    and contribute nothing here.  The residuals are ``Fraction``s even
+    when integral, as they have always been printed.
     """
     res, scale = _scaled_residuals(g)
     return [(v.id, Fraction(res[v.id], scale)) for v in g.vertices]
@@ -306,20 +319,28 @@ def index_integral(g: BoundaryGraph) -> bool:
     return all(v.coeff.denominator == 1 for v in g.vertices)
 
 
-def reduced_volume(g: BoundaryGraph, components=None) -> Fraction:
-    """Self-intersection of the sum of the given components.
+def divisor_square(g: BoundaryGraph, multiplicities: dict) -> Fraction:
+    """Self-intersection of the divisor sum of m * C over
+    ``multiplicities``, a mapping from vertex id to multiplicity m.
 
-    Defaults to the coefficient-one reduced part.  Under a blow-up at a
-    point of multiplicity m of that part, the value drops by m^2 when
-    restricted to the strict transforms of the same components.
+    Under a blow-up at a point of multiplicity mu of the divisor, the
+    value drops by mu^2 when restricted to the strict transforms of the
+    same components.
+    """
+    total = sum((m * m * g.vertex(c).self_int for c, m in multiplicities.items()), Fraction(0))
+    for a, b in combinations(sorted(multiplicities), 2):
+        total += 2 * multiplicities[a] * multiplicities[b] * g.intersection(a, b)
+    return total
+
+
+def reduced_volume(g: BoundaryGraph, components=None) -> Fraction:
+    """``divisor_square`` of the sum of the given components, each once.
+
+    Defaults to the coefficient-one reduced part.
     """
     if components is None:
         components = [v.id for v in g.vertices if v.coeff == 1]
-    comp = set(components)
-    total = sum((g.vertex(c).self_int for c in comp), Fraction(0))
-    for a, b in combinations(sorted(comp), 2):
-        total += 2 * g.intersection(a, b)
-    return total
+    return divisor_square(g, dict.fromkeys(components, 1))
 
 
 # -- exceptional ids -------------------------------------------------------
@@ -389,7 +410,7 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
             )
         va, vb = g.vertex(a), g.vertex(b)
         vs = _with_vertex(g.vertices, (a, b), -1)
-        vs.append(CurveVertex(eid, Fraction(-1), va.coeff + vb.coeff - 1))
+        vs.append(CurveVertex(eid, -1, va.coeff + vb.coeff - 1))
         es = [x for x in g.edges if x is not e]
         if e.multiplicity > 1:
             es.append(Edge(e.a, e.b, e.multiplicity - 1))
@@ -399,7 +420,7 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
     if vc.nodes < 1:
         raise NoSuchIntersection(f"{node!r} has no nodes")
     vs = _with_vertex(g.vertices, (node,), -4, -1)
-    vs.append(CurveVertex(eid, Fraction(-1), 2 * vc.coeff - 1))
+    vs.append(CurveVertex(eid, -1, 2 * vc.coeff - 1))
     es = [*g.edges, Edge(*sorted((eid, node)), multiplicity=2)]
     return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
 
@@ -415,7 +436,7 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
     if g.has_vertex(eid):
         raise InvalidGraph(f"vertex id {eid!r} already in use")
     vs = _with_vertex(g.vertices, (vertex,), -1)
-    vs.append(CurveVertex(eid, Fraction(-1), vc.coeff - 1))
+    vs.append(CurveVertex(eid, -1, vc.coeff - 1))
     es = [*g.edges, Edge(*sorted((eid, vertex)))]
     return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
 

@@ -11,7 +11,8 @@ boundary.
 weighted_corner_numbers and obstruction_value carry the exact intersection
 arithmetic of the weighted corner blow-up (x^alpha, y^beta) at a boundary
 node, and prop51_witness_search is the bounded search for the divisorial
-witness that a fiber of a cluster-type model must admit.
+witness that a fiber of a cluster-type model must admit; check_witness
+verifies such a witness independently of the search.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class FiberComponent(
 ):
     __slots__ = ()
 
+    def __new__(cls, self_int: Fraction, irreducible_over_base: bool = True):
+        if self_int.denominator == 1:
+            self_int = self_int.numerator
+        return super().__new__(cls, self_int, irreducible_over_base)
+
 
 class FiberSpec(
     namedtuple(
@@ -96,6 +102,8 @@ class FiberSpec(
         if volume <= 0:
             raise FiberError("fiber volume must be positive")
         node_location(node_at)
+        if volume.denominator == 1:
+            volume = volume.numerator
         return super().__new__(
             cls, components, has_node, volume, rank, boundary_in_smooth_locus, node_at
         )
@@ -133,7 +141,11 @@ class WeightedCornerData(
         defaults=(Fraction(1),),
     )
 ):
-    """Intersection numbers after the (x^alpha, y^beta) corner blow-up."""
+    """Intersection numbers after the (x^alpha, y^beta) corner blow-up.
+
+    Unlike the other value types, the fields stay ``Fraction`` even when
+    integral, as they have always been printed.
+    """
 
     __slots__ = ()
 
@@ -190,7 +202,7 @@ def node_blowup_reduce(f: FiberSpec) -> FiberSpec:
             "node blow-up needs a rank-one spec with a node at a smooth point"
         )
     strict = FiberComponent(f.volume - 4, f.components[0].irreducible_over_base)
-    exceptional = FiberComponent(Fraction(-1), True)
+    exceptional = FiberComponent(-1, True)
     return FiberSpec(
         components=(strict, exceptional),
         has_node=True,
@@ -492,6 +504,44 @@ def prop51_witness_search(
                 nxt.append((g, script + (target,), child))
         frontier = nxt
     return None
+
+
+def check_witness(fiber: bg.BoundaryGraph, witness: Witness, cap: int) -> None:
+    """Verify a witness from the graphs alone; raise FiberError naming the
+    first check that fails.
+
+    Shares nothing with the search's keys, scan or definiteness test: each
+    script step must be a corner of the graph so far, and its blow-up,
+    rebuilt through the validating ``BoundaryGraph.build``, Calabi-Yau;
+    the divisor must name exactly the fiber's curves, with multiplicities
+    in 0..cap and not all zero, and have D^2 >= 0 on the last graph; the
+    node must be a corner of that graph on no curve of the support.
+    """
+
+    def corners(g):
+        nodal = {("node", v.id) for v in g.vertices if v.nodes}
+        return {("edge", e.a, e.b) for e in g.edges} | nodal
+
+    g = fiber
+    for step in witness.script:
+        if step not in corners(g):
+            raise FiberError(f"witness check: script step {step!r} is not a corner")
+        if step[0] == "edge":
+            g = bg.blowup_corner(g, edge=step[1:])
+        else:
+            g = bg.blowup_corner(g, node=step[1])
+        g = bg.BoundaryGraph.build(g.vertices, g.edges, g.marked_points, g.picard_rank)
+        if not bg.is_calabi_yau(g):
+            raise FiberError(f"witness check: the blow-up at {step!r} is not Calabi-Yau")
+    m = witness.divisor
+    if set(m) != set(fiber.ids()):
+        raise FiberError("witness check: the divisor does not name exactly the fiber's curves")
+    if not any(m.values()) or any(type(x) is not int or not 0 <= x <= cap for x in m.values()):
+        raise FiberError(f"witness check: multiplicities must lie in 0..{cap}, not all zero")
+    if bg.divisor_square(g, m) < 0:
+        raise FiberError("witness check: the divisor has negative self-intersection")
+    if witness.node not in corners(g) or any(m.get(c, 0) for c in witness.node[1:]):
+        raise FiberError(f"witness check: node {witness.node!r} is not a corner off the support")
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -157,9 +157,23 @@ class TestDecidePair:
         ("p2.triangle", "BoundaryGraph"), ("ex62.pic1", "FiberSpec"), ("case2.fan", "Fan2"),
     ])
     def test_fixture_spec_exits_2(self, capsys, name, kind):
+        assert type(fixtures.load_fixture(name)).__name__ == kind
         assert invoke(capsys, "decide-pair", f"fixture:{name}") == (
-            2, "", f"error: bad pair spec: {kind!r} object is not subscriptable\n"
+            2, "", "error: bad pair spec: a pair spec is a JSON object\n"
         )
+
+    @pytest.mark.parametrize(
+        "spec", ["[1,2]", "[]", '[{"singularities": "A4"}]', "5", '"A4"', "null"]
+    )
+    def test_spec_that_is_not_an_object_exits_2(self, capsys, monkeypatch, spec):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert invoke(capsys, "decide-pair", "-") == (
+            2, "", "error: bad pair spec: a pair spec is a JSON object\n"
+        )
+        if spec.startswith("["):
+            assert invoke(capsys, "decide-pair", spec) == (
+                2, "", "error: bad pair spec: a pair spec is a JSON object\n"
+            )
 
     @pytest.mark.parametrize("sings", [5, ["A1"]])
     def test_non_string_singularities_exit_2(self, capsys, sings):

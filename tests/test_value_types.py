@@ -1,9 +1,9 @@
 """The value types of every layer are immutable ``namedtuple`` subclasses.
 
-One instance of each of the 22 classes keeps the repr it has always
-printed, hashes as the tuple of its fields and refuses attribute
-assignment; and loading the whole package imports neither ``dataclasses``
-nor ``inspect``.
+One instance of each of the 22 classes prints a pinned repr (integral
+rationals print as ``int``, the rest as ``Fraction``), hashes as the
+tuple of its fields and refuses attribute assignment; and loading the
+whole package imports neither ``dataclasses`` nor ``inspect``.
 """
 
 import json
@@ -22,8 +22,8 @@ from cypair import lattice_fan as lf
 
 NODAL = bg.BoundaryGraph.build([("B", 9, 1, 1)])
 NODAL_REPR = (
-    "BoundaryGraph(vertices=(CurveVertex(id='B', self_int=Fraction(9, 1), "
-    "coeff=Fraction(1, 1), nodes=1),), edges=(), marked_points=(), picard_rank=1)"
+    "BoundaryGraph(vertices=(CurveVertex(id='B', self_int=9, coeff=1, nodes=1),), "
+    "edges=(), marked_points=(), picard_rank=1)"
 )
 A4 = "SingularityLabel(family='A', rank=4)"
 
@@ -31,7 +31,7 @@ A4 = "SingularityLabel(family='A', rank=4)"
 VALUES = {
     "CurveVertex": (
         bg.CurveVertex("A", Fr(-2), Fr(1, 2), 1),
-        "CurveVertex(id='A', self_int=Fraction(-2, 1), coeff=Fraction(1, 2), nodes=1)",
+        "CurveVertex(id='A', self_int=-2, coeff=Fraction(1, 2), nodes=1)",
     ),
     "Edge": (bg.Edge("A", "B", 2), "Edge(a='A', b='B', multiplicity=2)"),
     "MarkedPoint": (bg.MarkedPoint(("A", "B", "C")), "MarkedPoint(branches=('A', 'B', 'C'))"),
@@ -42,12 +42,12 @@ VALUES = {
     ),
     "FiberComponent": (
         fc.FiberComponent(Fr(-1)),
-        "FiberComponent(self_int=Fraction(-1, 1), irreducible_over_base=True)",
+        "FiberComponent(self_int=-1, irreducible_over_base=True)",
     ),
     "FiberSpec": (
         fc.FiberSpec.build([(5, True)], True, 5, 1),
-        "FiberSpec(components=(FiberComponent(self_int=Fraction(5, 1), "
-        "irreducible_over_base=True),), has_node=True, volume=Fraction(5, 1), "
+        "FiberSpec(components=(FiberComponent(self_int=5, "
+        "irreducible_over_base=True),), has_node=True, volume=5, "
         "rel_picard_rank=1, boundary_in_smooth_locus=True, node_at='smooth')",
     ),
     "Verdict": (fc.Verdict(False, (1, 3)), "Verdict(cluster_type=False, failed_conditions=(1, 3))"),
