@@ -261,17 +261,14 @@ class Witness(namedtuple("Witness", "script divisor node")):
     __slots__ = ()
 
 
-def _corners(g: bg.BoundaryGraph, index: dict):
-    """The corner blow-up targets of ``g`` in sorted order, as (target,
-    corner, m): intersection points, then nodal curves, both stored sorted.
-    ``corner`` (original indices, -1 for an exceptional curve) and ``m``
-    (the edge's multiplicity, 0 at a node) are what ``_child_key`` reads."""
+def _corners(g: bg.BoundaryGraph):
+    """The corner blow-up targets of ``g`` in sorted order: intersection
+    points, then nodal curves, both stored sorted."""
     for e in g.edges:
-        i, j = index.get(e.a, -1), index.get(e.b, -1)
-        yield ("edge", e.a, e.b), (min(i, j), max(i, j)), e.multiplicity
+        yield ("edge", e.a, e.b)
     for v in g.vertices:
         if v.nodes:
-            yield ("node", v.id), (index[v.id],), 0
+            yield ("node", v.id)
 
 
 def _negative_definite(gram: list[list[int]]) -> bool:
@@ -331,81 +328,30 @@ def _first_divisor(gram: list[list[int]], allowed, cap: int) -> list[int] | None
     return m if n and extend(0, 0, 0) else None
 
 
-def _search_key(g: bg.BoundaryGraph, index: dict) -> tuple:
-    """What the witness search reads of a blow-up of the fiber.
-
-    The scale L, the lcm of the denominators of the originals'
-    self-intersections; the self-intersection times L and the node count
-    of each original component, in the fiber's order, as ints; and the
-    sorted multiset of edges as (i, j, multiplicity) with i <= j the
-    original indices and -1 for an exceptional curve.  Corner blow-ups
-    subtract 1 or 4 from self-intersections, so L is the fiber's own along
-    every script.
-    """
-    by_id = {v.id: v for v in g.vertices}
-    sqs = [by_id[vid].self_int for vid in index]
-    scale = lcm(*[s.denominator for s in sqs])
-    originals = tuple(
-        (s.numerator * (scale // s.denominator), by_id[vid].nodes) for s, vid in zip(sqs, index)
-    )
-    edges = []
-    for e in g.edges:
-        i, j = index.get(e.a, -1), index.get(e.b, -1)
-        edges.append((min(i, j), max(i, j), e.multiplicity))
-    return scale, originals, tuple(sorted(edges))
-
-
-def _child_key(key: tuple, corner: tuple, m: int) -> tuple:
-    """The ``_search_key`` of a corner blow-up, from the key of the graph
-    blown up.
-
-    ``corner`` is (i, j) for a point of the edge (i, j, m) of the key, in
-    original indices with -1 for an exceptional curve, or (i,) for a node
-    of original i (exceptional curves carry no nodes), where ``m`` is not
-    read.  At an edge point each original endpoint loses 1 from its
-    self-intersection, the edge loses one point and the exceptional curve
-    meets each endpoint once; at a node the curve loses 4 and one node and
-    the exceptional curve meets it twice.
-    """
-    scale, originals, edges = key
-    sqs = list(originals)
-    if len(corner) == 1:
-        (i,) = corner
-        s, nodes = sqs[i]
-        sqs[i] = (s - 4 * scale, nodes - 1)
-        es = [*edges, (-1, i, 2)]
-    else:
-        i, j = corner
-        for k in (i, j):
-            if k >= 0:
-                s, nodes = sqs[k]
-                sqs[k] = (s - scale, nodes)
-        es = list(edges)
-        es.remove((i, j, m))
-        if m > 1:
-            es.append((i, j, m - 1))
-        es += [(-1, i, 1), (-1, j, 1)]
-    return scale, tuple(sqs), tuple(sorted(es))
-
-
-def _divisor_witness(key: tuple, cap: int) -> list[int] | None:
-    """The first divisor in the scan order of a graph with ``_search_key``
-    ``key``, as multiplicities of the original components, or None.
+def _divisor_witness(g: bg.BoundaryGraph, index: dict, cap: int) -> list[int] | None:
+    """The first divisor in the scan order on ``g``, a blow-up of the fiber
+    whose components ``index`` numbers, as multiplicities of those
+    original components, or None.
 
     The form is the Gram matrix of the originals' strict transforms scaled
-    by the key's L, which keeps its sign exact.  Each boundary node has the
-    bitmask of the originals through it: an edge its original endpoints
-    (i >= 0 makes both ends original, as i <= j), a self-node its own
-    curve.  A divisor is allowed while some mask misses its support.
+    by L, the lcm of the denominators of their self-intersections, which
+    keeps its sign exact.  Each boundary node has the bitmask of the
+    originals through it: an edge its original endpoints, a self-node its
+    own curve.  A divisor is allowed while some mask misses its support.
     """
-    scale, originals, edges = key
-    gram = [[0] * len(originals) for _ in originals]
-    for i, (s, _) in enumerate(originals):
-        gram[i][i] = s
-    masks = {1 << i for i, (_, nodes) in enumerate(originals) if nodes}
-    for i, j, m in edges:
+    originals = [v for v in g.vertices if v.id in index]
+    scale = lcm(*[v.self_int.denominator for v in originals])
+    gram = [[0] * len(index) for _ in index]
+    masks = set()
+    for v in originals:
+        i = index[v.id]
+        gram[i][i] = v.self_int.numerator * (scale // v.self_int.denominator)
+        if v.nodes:
+            masks.add(1 << i)
+    for e in g.edges:
+        i, j = sorted((index.get(e.a, -1), index.get(e.b, -1)))
         if i >= 0:
-            gram[i][j] = gram[j][i] = scale * m
+            gram[i][j] = gram[j][i] = scale * e.multiplicity
             masks.add(1 << i | 1 << j)
         else:
             masks.add(1 << j if j >= 0 else 0)
@@ -414,23 +360,12 @@ def _divisor_witness(key: tuple, cap: int) -> list[int] | None:
     return _first_divisor(gram, lambda support: any(not mask & support for mask in masks), cap)
 
 
-def _blown_up(parent: bg.BoundaryGraph, script: tuple) -> bg.BoundaryGraph:
-    """The graph of a frontier entry: ``parent`` blown up at the last
-    target of ``script``, or ``parent`` itself for the empty script."""
-    if not script:
-        return parent
-    target = script[-1]
-    if target[0] == "edge":
-        return bg.blowup_corner(parent, edge=target[1:])
-    return bg.blowup_corner(parent, node=target[1])
-
-
-def _witness(parent: bg.BoundaryGraph, script: tuple, m: list[int], index: dict) -> Witness:
-    """The divisor ``m`` found on a frontier entry's graph, and the first
-    corner of that graph off its support."""
-    corners = _corners(_blown_up(parent, script), index)
-    node = next(t for t, corner, _ in corners if not any(i >= 0 and m[i] for i in corner))
-    return Witness(script, dict(zip(index, m)), node)
+def _witness(g: bg.BoundaryGraph, script: tuple, m: list[int], index: dict) -> Witness:
+    """The divisor ``m`` found on ``g``, the fiber blown up along
+    ``script``, and the first corner of ``g`` off its support."""
+    divisor = dict(zip(index, m))
+    node = next(t for t in _corners(g) if not any(divisor.get(vid) for vid in t[1:]))
+    return Witness(script, divisor, node)
 
 
 def prop51_witness_search(
@@ -447,23 +382,37 @@ def prop51_witness_search(
     outside their support.  Returns the first witness in this
     deterministic order, or None.
 
-    Three prunings leave that first witness unchanged:
+    Two corner blow-ups suffice: if a script of any length has a witness
+    with multiplicities m, a script of length at most 2 has one with the
+    same m.  The search is breadth first, so it walks at most two layers,
+    and any ``max_blowups`` of 2 or more returns what 2 returns; a None
+    there means no witness at any depth with multiplicities up to
+    ``coeff_cap``.  Proof:
 
-    - The scan is over the integers: the Gram matrix of the original
-      components is scaled by the common denominator of their
-      self-intersections, which keeps the sign of every value.  A prefix
-      whose support already meets every boundary node is skipped whole,
-      before any form is evaluated.
-    - A script whose ``_search_key`` was already seen is dropped before
-      its graph is built: ``_child_key`` derives a child's key from its
-      parent's.  The scan, ``_divisor_witness``, reads only the key, and
-      the key fixes the keys of the graph's children (exceptional curves
-      carry no nodes), so each dropped subtree mirrors a kept one that
-      comes earlier in breadth-first order.  A kept script is scanned as
-      soon as its key is derived, which is that order, and its graph is
-      built only to expand it or to name the witness's node.
-    - A graph whose Gram matrix is negative definite is not scanned:
-      there every nonzero divisor has negative self-intersection.
+    - Blowing up a point p takes D = sum m_i C_i to D^2 - (mult_p D)^2,
+      where mult_p D is m_i + m_j at a corner of C_i and C_j and 2 m_i at
+      a node of C_i, an exceptional curve counting 0.  So D^2 never rises
+      along a script.
+    - If the root has a node off the support, the empty script is a
+      witness.  Else take the first step t of the witness script that
+      creates a node off the support.  That node lies on the new curve
+      and a branch Y with m_Y = 0; the other branch X at p_t has m_X > 0,
+      as p_t was not off the support, so X is original and step t costs
+      m_X^2.
+    - If Y is original, p_t is a corner of X and Y in the root.  Blowing
+      it up alone costs m_X^2 and gives a witness at depth 1.
+    - If Y is exceptional, some earlier step of the script is the first on
+      X, at a corner of the root.  Blow that corner up, then the new
+      curve's corner with X, which costs m_X^2.  The two costs are at most
+      those of two distinct steps of the script, and the second blow-up
+      leaves a node between two exceptional curves, off every support.
+
+    The scan is over the integers: the Gram matrix of the original
+    components is scaled by the common denominator of their
+    self-intersections, which keeps the sign of every value.  A prefix
+    whose support already meets every boundary node is skipped whole, and
+    a graph whose Gram matrix is negative definite is not scanned, since
+    there every nonzero divisor has negative self-intersection.
 
     The fiber must be an index-one log canonical Calabi-Yau boundary
     graph: every coefficient one, every adjunction residual zero and no
@@ -481,27 +430,22 @@ def prop51_witness_search(
     if fiber.marked_points:
         raise PreconditionFailed("witness search needs a log canonical graph: no marked points")
     index = {vid: i for i, vid in enumerate(fiber.ids())}
-    key = _search_key(fiber, index)
-    m = _divisor_witness(key, coeff_cap)
+    m = _divisor_witness(fiber, index, coeff_cap)
     if m is not None:
         return _witness(fiber, (), m, index)
-    seen = {key}
-    # (parent graph, script, key): the entry's graph is the parent blown
-    # up at the script's last target, built by _blown_up when needed
-    frontier: list[tuple[bg.BoundaryGraph, tuple, tuple]] = [(fiber, (), key)]
-    for _ in range(max_blowups):
+    frontier = [((), fiber)]
+    for _ in range(min(max_blowups, 2)):
         nxt = []
-        for parent, script, key in frontier:
-            g = _blown_up(parent, script)
-            for target, corner, mult in _corners(g, index):
-                child = _child_key(key, corner, mult)
-                if child in seen:
-                    continue
-                seen.add(child)
-                m = _divisor_witness(child, coeff_cap)
+        for script, g in frontier:
+            for target in _corners(g):
+                if target[0] == "edge":
+                    child = bg.blowup_corner(g, edge=target[1:])
+                else:
+                    child = bg.blowup_corner(g, node=target[1])
+                m = _divisor_witness(child, index, coeff_cap)
                 if m is not None:
-                    return _witness(g, script + (target,), m, index)
-                nxt.append((g, script + (target,), child))
+                    return _witness(child, script + (target,), m, index)
+                nxt.append((script + (target,), child))
         frontier = nxt
     return None
 

@@ -1,4 +1,4 @@
-"""Two oracles for the witness search, and one for the fiber criteria.
+"""Three oracles for the witness search, and one for the fiber criteria.
 
 ``prop51_witness_search`` here is the brute-force search as it stood
 before the integer scan, the frontier deduplication and the
@@ -8,10 +8,15 @@ arithmetic throughout.  It is too slow past depth 2.
 
 ``pruned_witness_search`` is the search with those three prunings as it
 stood while its scan still read each graph rather than the graph's search
-key; it reaches depths 3 and 4.  ``check_pic1`` and ``check_pic2`` are the
-criteria as they stood before they shared one body.  The code is kept
-verbatim apart from the renames; ``cypair.fiber_criteria`` must return
-exactly what these return, or raise the same error.
+key, and before the search stopped at two blow-ups; it reaches depths 3
+to 5.  ``check_pic1`` and ``check_pic2`` are the criteria as they stood
+before they shared one body.  The code is kept verbatim apart from the
+renames; ``cypair.fiber_criteria`` must return exactly what these
+return, or raise the same error.
+
+``has_witness`` is new: the closed form of the two-blow-up lemma in
+``cypair.fiber_criteria.prop51_witness_search``, which builds no blow-up
+and says only whether the search finds a witness at depth 2 or more.
 """
 
 from __future__ import annotations
@@ -115,6 +120,33 @@ def prop51_witness_search(
                 nxt.append((g2, script + (target,)))
         frontier = nxt
     return None
+
+
+def has_witness(fiber: bg.BoundaryGraph, cap: int) -> bool:
+    """Whether some nonzero m with entries in 0..cap has m^T G m >= c(m).
+
+    G is the Gram matrix of the fiber's curves, and c(m) the least loss of
+    D^2 that gets a corner off the support of D = sum m_v C_v within two
+    corner blow-ups: (m_a + m_b)^2 + min(m_a, m_b)^2 at a corner of C_a
+    and C_b (0 if it already misses the support, m_a^2 if blowing it up
+    once does, else blow up the new curve's corner with the cheaper
+    branch), and 5 m_v^2 at a node of C_v (4 m_v^2, then m_v^2 again).
+    """
+    ids = fiber.ids()
+    for mults in product(range(cap + 1), repeat=len(ids)):
+        if not any(mults):
+            continue
+        m = dict(zip(ids, mults))
+        sq = Fraction(0)
+        for v in fiber.vertices:
+            sq += m[v.id] ** 2 * v.self_int
+        for e in fiber.edges:
+            sq += 2 * e.multiplicity * m[e.a] * m[e.b]
+        costs = [(m[e.a] + m[e.b]) ** 2 + min(m[e.a], m[e.b]) ** 2 for e in fiber.edges]
+        costs += [5 * m[v.id] ** 2 for v in fiber.vertices if v.nodes]
+        if costs and sq >= min(costs):
+            return True
+    return False
 
 
 # -- the pruned search and the criteria, before the scan read only the key ---

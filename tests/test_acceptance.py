@@ -304,6 +304,7 @@ def test_criterion_11_witness_search_budgets():
         ("(-3)-cycle k=6 depth 1", cycle(6), 1, 1.0),
         ("ex62 depth 5", ex62, 5, 0.25),
         ("ex62 depth 8", ex62, 8, 0.25),
+        ("ex62 depth 60", ex62, 60, 0.25),
         ("(-3)-cycle k=4 depth 5", cycle(4), 5, 0.5),
     )
     ok, times = True, []

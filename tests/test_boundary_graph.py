@@ -511,25 +511,17 @@ def _contracted_chain(rng: random.Random) -> bg.BoundaryGraph:
 
 def _variants(rng: random.Random, g: bg.BoundaryGraph) -> list[bg.BoundaryGraph]:
     """g; g with one self-intersection or coefficient nudged, which mostly
-    unbalances it; g at Picard rank one; g with its integral fields stored
-    as ``int``, as a CurveVertex passed straight to ``build`` keeps them."""
+    unbalances it; g at Picard rank one."""
     v = rng.choice(g.vertices)
     if rng.randrange(2):
         nudged = bg.CurveVertex(v.id, v.self_int + rng.choice(SQ_NUDGES), v.coeff, v.nodes)
     else:
         nudged = bg.CurveVertex(v.id, v.self_int, v.coeff - rng.choice(COEFFS[1:]), v.nodes)
-    as_int = [
-        bg.CurveVertex(w.id, int(w.self_int), int(w.coeff), w.nodes)
-        if w.self_int.denominator == 1 and w.coeff.denominator == 1
-        else w
-        for w in g.vertices
-    ]
     return [
         g,
         build([nudged if w.id == v.id else w for w in g.vertices], g.edges, g.marked_points,
               g.picard_rank),
         build(g.vertices, g.edges, g.marked_points, 1),
-        build(as_int, g.edges, g.marked_points, g.picard_rank),
     ]
 
 

@@ -323,8 +323,9 @@ class TestPrunedSearchMatchesReference:
         assert reference_witness.prop51_witness_search(g, 2) is None
 
     def test_pruning_is_kept(self, monkeypatch):
-        # ex62.graph at depth 4: the brute-force search scans 77 graphs;
-        # deduplication leaves 26 and the negative-definite skip all but one
+        # ex62.graph at depth 4: the search stops after two layers, so it
+        # examines the root, its one child and that child's three children,
+        # and the negative-definite skip leaves one scan
         examined, scanned = [], []
         divisor_witness, first_divisor = fc._divisor_witness, fc._first_divisor
         monkeypatch.setattr(
@@ -334,24 +335,23 @@ class TestPrunedSearchMatchesReference:
             fc, "_first_divisor", lambda *a: scanned.append(1) or first_divisor(*a)
         )
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
-        assert (len(examined), len(scanned)) == (26, 1)
+        assert (len(examined), len(scanned)) == (5, 1)
 
     def test_children_are_built_lazily(self, monkeypatch):
-        # ex62.graph at depth 4: of the 26 graphs examined only the 11 that
-        # are expanded are built; building every child of every expanded
-        # graph, duplicates and the last layer included, would take 51
+        # ex62.graph at depth 4: the four blow-ups within two layers are
+        # built, each once, and none deeper
         built = []
         blowup_corner = bg.blowup_corner
         monkeypatch.setattr(
             bg, "blowup_corner", lambda *a, **k: built.append(1) or blowup_corner(*a, **k)
         )
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
-        assert len(built) == 11
+        assert len(built) == 4
 
     def test_search_stops_at_the_first_witness(self, monkeypatch):
         # a 4-cycle with its witness at depth 2: the search returns as soon
-        # as it scans it, having built the one graph it expanded and the
-        # witness's graph; finishing the layer first would build 5
+        # as it scans it, having built the four graphs of the first layer
+        # and two of the second; finishing the layer first would build 24
         g = bg.BoundaryGraph.build(
             [("C1", Fr(-5, 3), 1), ("E1", -1, 1), ("C2", Fr(-5, 3), 1), ("E2", -1, 1)],
             [("C1", "E1"), ("E1", "C2"), ("C2", "E2"), ("E2", "C1")],
@@ -365,41 +365,23 @@ class TestPrunedSearchMatchesReference:
             bg, "blowup_corner", lambda *a, **k: built.append(1) or blowup_corner(*a, **k)
         )
         assert fc.prop51_witness_search(g, 2) == want
-        assert len(built) == 2
-
-
-def _corners(g: bg.BoundaryGraph, index: dict):
-    """Each corner blow-up of ``g`` that is not refused: the child graph
-    and the arguments of ``_child_key`` for it."""
-    for target in reference_witness._boundary_nodes(g):
-        if target[0] == "node":
-            yield bg.blowup_corner(g, node=target[1]), (index[target[1]],), 0
-            continue
-        try:
-            child = bg.blowup_corner(g, edge=target[1:])
-        except bg.NoSuchIntersection:
-            continue  # a shielded corner
-        i, j = sorted(index.get(v, -1) for v in target[1:])
-        yield child, (i, j), g.intersection(*target[1:])
+        assert len(built) == 6
 
 
 class TestCorners:
-    """``_corners`` yields the targets of the reference's sorted
-    ``_boundary_nodes``, in its order, with the arguments of
-    ``_child_key`` that the test helper ``_corners`` derives."""
+    """``_corners`` yields the reference's sorted ``_boundary_nodes``, on
+    each graph and on each of its corner blow-ups."""
 
     def _check(self, graphs):
         for g in graphs:
-            index = {vid: i for i, vid in enumerate(g.ids())}
-            for h in [g] + [child for child, _, _ in _corners(g, index)]:
-                got = list(fc._corners(h, index))
-                assert [t for t, _, _ in got] == reference_witness._boundary_nodes(h), h
-                for target, corner, m in got:
-                    if target[0] == "node":
-                        assert (corner, m) == ((index[target[1]],), 0)
-                    else:
-                        ends = sorted(index.get(v, -1) for v in target[1:])
-                        assert (list(corner), m) == (ends, h.intersection(*target[1:]))
+            children = []
+            for target in reference_witness._boundary_nodes(g):
+                if target[0] == "edge":
+                    children.append(bg.blowup_corner(g, edge=target[1:]))
+                else:
+                    children.append(bg.blowup_corner(g, node=target[1]))
+            for h in [g] + children:
+                assert list(fc._corners(h)) == reference_witness._boundary_nodes(h), h
 
     def test_graph_fixtures(self):
         self._check(
@@ -411,49 +393,6 @@ class TestCorners:
     def test_random_fibers(self):
         rng = random.Random(20261018)
         self._check(random_witness_fiber(rng) for _ in range(300))
-
-
-class TestChildKey:
-    """The key the search derives for a child equals the key of the child
-    graph, on every graph within two blow-ups of the fiber."""
-
-    def _check(self, fibers):
-        keys = []
-        for fiber in fibers:
-            index = {vid: i for i, vid in enumerate(fiber.ids())}
-            layer = [fiber]
-            for _ in range(3):
-                nxt = []
-                for g in layer:
-                    key = fc._search_key(g, index)
-                    for child, corner, m in _corners(g, index):
-                        got = fc._child_key(key, corner, m)
-                        assert got == fc._search_key(child, index), (g, corner)
-                        keys.append(got)
-                        nxt.append(child)
-                layer = nxt
-        return keys
-
-    def test_graph_fixtures(self):
-        self._check(
-            fixtures.load_fixture(name)
-            for name in fixtures.fixture_names()
-            if fixtures.fixture_kind(name) == "graph"
-        )
-
-    def test_random_fibers(self):
-        rng = random.Random(20261020)
-        keys = self._check(random_witness_fiber(rng) for _ in range(300))
-        # an exceptional curve meeting a curve twice, and a scale L > 1
-        assert any(i < 0 and m > 1 for _, _, edges in keys for i, _, m in edges)
-        assert any(scale > 1 for scale, _, _ in keys)
-
-    def test_non_integral_self_intersections(self):
-        keys = self._check(
-            bg.BoundaryGraph.build([("C1", a, 1), ("C2", b, 1)], [("C1", "C2", 2)], rho=2)
-            for a, b in ((Fr(7, 2), -1), (Fr(-5, 2), Fr(1, 3)), (Fr(-4, 3), Fr(1, 3)))
-        )
-        assert {scale for scale, _, _ in keys} == {2, 6, 3}
 
 
 def _cycle(sqs) -> bg.BoundaryGraph:
@@ -544,6 +483,57 @@ class TestSearchMatchesPrunedReference:
         outcomes = self._check(cases)
         assert {kind for kind, _, _ in outcomes} == {"returned"}
         assert self._depths(outcomes) == {None, 0, 1, 2}
+
+
+class TestTwoBlowupsSuffice:
+    """The lemma of ``prop51_witness_search``: a search of depth 2 finds a
+    witness exactly when the closed form ``has_witness`` says one exists,
+    and any deeper search returns what depth 2 returns."""
+
+    def _check(self, graphs, caps=(1, 2, 3)):
+        found = set()
+        for g in graphs:
+            for cap in caps:
+                try:
+                    w = fc.prop51_witness_search(g, 2, cap)
+                except fc.PreconditionFailed:
+                    continue
+                assert (w is not None) == reference_witness.has_witness(g, cap), (g, cap)
+                found.add(w is not None)
+        assert found == {True, False}
+
+    def test_graph_fixtures(self):
+        self._check(
+            fixtures.load_fixture(name)
+            for name in fixtures.fixture_names()
+            if fixtures.fixture_kind(name) == "graph"
+        )
+
+    def test_random_fibers(self):
+        rng = random.Random(20261019)
+        self._check(random_witness_fiber(rng) for _ in range(200))
+
+    def test_nodal_curves_and_curve_pairs(self):
+        graphs = [bg.BoundaryGraph.build([("B", s, 1, 1)], rho=1) for s in range(-4, 12)]
+        for a, b in product(range(-4, 4), repeat=2):
+            graphs.append(bg.BoundaryGraph.build(
+                [("C1", a, 1), ("C2", b, 1)], [("C1", "C2", 2)], rho=2
+            ))
+            graphs.append(bg.BoundaryGraph.build([("B", a, 1, 1), ("C", b, 1, 1)], rho=2))
+        self._check(graphs)
+
+    def test_cycles(self):
+        self._check(
+            _cycle(sqs) for k in (3, 4) for sqs in product(range(-4, 2), repeat=k)
+        )
+
+    def test_deeper_searches_return_depth_two(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            g, cap = random_witness_fiber(rng), rng.randint(1, 6)
+            depth = rng.randint(2, 8)
+            want = repr(fc.prop51_witness_search(g, 2, cap))
+            assert repr(fc.prop51_witness_search(g, depth, cap)) == want, (g, depth, cap)
 
 
 def _criterion_outcome(check, f):
