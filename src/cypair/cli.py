@@ -351,11 +351,14 @@ def _cmd_fixture(args):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The ``cypair`` parser, built on the first ``run`` and then shared.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``cypair`` parser and its subcommand name -> parser map, built
+    on the first ``run`` and then shared.
 
-    Building it costs far more than parsing a command line; parsing does
-    not change it, and every ``parse_args`` returns a fresh namespace.
+    Building them costs far more than parsing a command line; parsing
+    does not change them, and every parse returns a fresh namespace.
+    ``_parse_args`` parses each command with its subcommand's parser
+    alone; the top-level parser runs only for top-level help and errors.
     """
     p = argparse.ArgumentParser(
         prog="cypair",
@@ -403,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formats = ("json", "dot", "text") if name in ("graph", "fixture") else ("json", "text")
         parser.add_argument("--format", choices=formats, default="json")
         parser.add_argument("--out")
-    return p
+    return p, sub.choices
 
 
 _INPUT_ERRORS = (CliInputError, fixtures.UnknownFixture)
@@ -416,11 +419,38 @@ _MODULE_ERRORS = (
 )
 
 
+def _parse_args(argv):
+    """What ``parse_args(argv)`` of the top-level parser returns or raises.
+
+    That parser's subparsers action hands every token after the command
+    name to that command's parser, and adds only its own "unrecognized
+    arguments" error when tokens are left over.  So a command line that
+    starts with a command name and leaves nothing over is parsed by the
+    command's parser alone; any other goes through the top-level parser,
+    which prints its own usage and error (or help).
+    """
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv=None) -> int:
-    """Parse argv, dispatch, and map errors to exit codes (2 input, 3 module)."""
-    parser = _build_parser()
+    """Parse argv (``sys.argv[1:]`` when None), dispatch, and map errors to
+    exit codes (2 input, 3 module).
+
+    A command is parsed by its subcommand's parser only; the top-level
+    parser runs for top-level help and errors (see ``_parse_args``).
+    Repeated calls in one process share the parsers and do not affect
+    each other.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -394,9 +396,64 @@ class TestGraphCommand:
         ) == (0, emit_dot(expected), "")
 
 
+# the top-level usage at 80 columns, which each top-level error follows
+TOP_LEVEL_USAGE = (
+    "usage: cypair [-h]\n"
+    "              {classify,decide-pair,check-fiber,graph,fan,catalog,fixture} ...\n"
+)
+
+# every command, option and choice value, option prefixes, --opt=value
+# forms, "--", help flags, unknown flags and stray positionals
+PARSE_TOKENS = (
+    ["classify", "decide-pair", "check-fiber", "graph", "fan", "catalog", "fixture"]
+    + ["--rank", "--op", "--apply", "--depth", "--cap", "--ray", "--form", "--list",
+       "--format", "--out"]
+    + ["1", "2", "json", "dot", "text", *cli._GRAPH_OPS, *cli._FAN_OPS]
+    + ["--he", "--fo", "--for", "--o", "--ra", "--de", "--c", "--l", "--a", "-f", "--"]
+    + ["--op=witness", "--format=dot", "--rank=1", "--depth=x", "--help=1", "--out=",
+       "--list=1", "--fo=text", "-h", "--help"]
+    + ["--nope", "-x", "-1", "-", "A1", "extra", "", "fixture:p2.triangle", "[[1,0]]"]
+)
+
+
+def _parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, with what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestSharedParser:
     def test_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["--"], "the following arguments are required: command"),
+        (["graph", "fixture:p2.triangle", "extra"], "unrecognized arguments: extra"),
+    ])
+    def test_top_level_errors(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        assert invoke(capsys, *argv) == (2, "", f"{TOP_LEVEL_USAGE}cypair: error: {message}\n")
+
+    def test_parse_matches_the_top_level_parser(self):
+        # a command line is parsed by its command's parser alone; the result,
+        # exit code and printed bytes must be those of the top-level parse
+        parser, commands = cli._build_parser()
+        names = list(commands)
+        rng = random.Random(20)
+        argvs = [[]]
+        for _ in range(20_000):
+            argv = rng.choices(PARSE_TOKENS, k=rng.randint(1, 5))
+            if rng.random() < 0.7:
+                argv[0] = rng.choice(names)
+            argvs.append(argv)
+        for argv in argvs:
+            assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(parser.parse_args, argv), argv
 
     def test_no_state_leaks_between_calls(self, capsys, monkeypatch, tmp_path):
         out = tmp_path / "out.json"
@@ -414,6 +471,7 @@ class TestSharedParser:
             ["graph", "fixture:p2.triangle"],
             ["fan", "fixture:p2.fan", "--out", str(out)],
             ["fan", "fixture:p2.fan"],
+            ["graph", "fixture:p2.triangle", "extra"],
         ]
 
         def outcomes():
@@ -428,7 +486,7 @@ class TestSharedParser:
         fresh = outcomes()
         assert shared == fresh + fresh
         codes = [code for (code, _, _), _ in fresh]
-        assert codes == [0] * 7 + [0, 0, 2] + [0] * 3
+        assert codes == [0] * 7 + [0, 0, 2] + [0] * 3 + [2]
         assert fresh[0] != fresh[1] and fresh[2] != fresh[3] and fresh[11] != fresh[12]
 
 

@@ -322,7 +322,7 @@ class TestPrunedSearchMatchesReference:
         assert fc.prop51_witness_search(g, 2) is None
         assert reference_witness.prop51_witness_search(g, 2) is None
 
-    def test_pruning_is_kept(self, monkeypatch):
+    def test_negative_definite_skip(self, monkeypatch):
         # ex62.graph at depth 4: the search stops after two layers, so it
         # examines the root, its one child and that child's three children,
         # and the negative-definite skip leaves one scan
@@ -337,7 +337,7 @@ class TestPrunedSearchMatchesReference:
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
         assert (len(examined), len(scanned)) == (5, 1)
 
-    def test_children_are_built_lazily(self, monkeypatch):
+    def test_two_layers_are_built_once(self, monkeypatch):
         # ex62.graph at depth 4: the four blow-ups within two layers are
         # built, each once, and none deeper
         built = []
