@@ -26,7 +26,7 @@ cannot be set.  Three tuple traits remain:
 
 - A record equals the plain tuple of its fields.
 - ``_replace`` skips ``__new__``, so build through the constructor
-  wherever a check matters.
+  wherever a check or the endpoint order of an edge matters.
 - ``Fan2.__len__`` breaks ``_make`` and ``_replace`` on ``Fan2``, so do
   not call either on it.
 """
@@ -97,7 +97,7 @@ class CurveVertex(namedtuple("CurveVertex", "id self_int coeff nodes")):
 
 
 class Edge(namedtuple("Edge", "a b multiplicity")):
-    """Transverse intersection points between two distinct curves."""
+    """Transverse intersection points between two distinct curves a < b."""
 
     __slots__ = ()
 
@@ -106,6 +106,8 @@ class Edge(namedtuple("Edge", "a b multiplicity")):
             raise InvalidGraph("self-loops are vertex node counters, not edges")
         if multiplicity < 1:
             raise InvalidGraph("edge multiplicity must be positive")
+        if a > b:
+            a, b = b, a
         return super().__new__(cls, a, b, multiplicity)
 
     def other(self, v: str) -> str:
@@ -132,43 +134,31 @@ class BoundaryGraph(
     def build(vertices, edges=(), marked_points=(), rho: int = 1) -> "BoundaryGraph":
         """Normalized, validating constructor: the public way to make a graph.
 
-        ``vertices`` is an iterable of (id, self_int, coeff[, nodes]) tuples
-        or CurveVertex objects; ``edges`` of (a, b[, mult]) tuples or Edge
-        objects; ``marked_points`` of branch-id tuples.  Vertices and edges
-        are stored sorted so equal graphs compare equal.  Ids must be
-        unique, edges and marked points must name existing vertices, every
-        two branches of a marked point must meet there (so two curves meet
-        at least once per marked point through both), and the Picard rank
-        must be positive.  Surgery results skip these re-checks through
-        ``_surgery_result``; everything else comes here.
+        ``vertices`` is an iterable of (id, self_int, coeff[, nodes]) tuples,
+        ``edges`` of (a, b[, mult]) tuples, both read alike from
+        ``CurveVertex`` and ``Edge`` values, and ``marked_points`` of
+        branch-id tuples.  Node counts, multiplicities and the rank must be
+        ``int``s, not ``bool``s.  Ids must be unique, edges and marked points
+        must name existing vertices, and every two branches of a marked
+        point must meet there (so two curves meet at least once per marked
+        point through both).  The first bad vertex or edge decides the
+        error.  Stored through ``_store``, as surgery results are.
         """
         vs = []
-        for v in vertices:
-            if isinstance(v, CurveVertex):
-                vs.append(v)
-            else:
-                vid, sq, coeff, *rest = v
-                nodes = rest[0] if rest else 0
-                vs.append(CurveVertex(str(vid), as_rational(sq), as_rational(coeff), int(nodes)))
-        ids = [v.id for v in vs]
-        if len(set(ids)) != len(ids):
+        for vid, sq, coeff, *rest in vertices:
+            nodes = _count(rest[0] if rest else 0, "nodes")
+            vs.append(CurveVertex(str(vid), as_rational(sq), as_rational(coeff), nodes))
+        known = {v.id for v in vs}
+        if len(known) != len(vs):
             raise InvalidGraph("duplicate vertex id")
-        known = set(ids)
         es = []
-        for e in edges:
-            if not isinstance(e, Edge):
-                a, b, *rest = e
-                m = rest[0] if rest else 1
-                a, b = str(a), str(b)
-                if a > b:
-                    a, b = b, a
-                e = Edge(a, b, int(m))
-            elif e.a > e.b:
-                e = Edge(e.b, e.a, e.multiplicity)
+        for a, b, *rest in edges:
+            e = Edge(str(a), str(b), _count(rest[0] if rest else 1, "multiplicity"))
             if e.a not in known or e.b not in known:
                 raise InvalidGraph(f"edge {e.a}-{e.b} references a missing vertex")
             es.append(e)
-        if len({(e.a, e.b) for e in es}) != len(es):
+        points = {(e.a, e.b): e.multiplicity for e in es}
+        if len(points) != len(es):
             raise InvalidGraph("duplicate edge; merge multiplicities instead")
         mps = []
         for p in marked_points:
@@ -179,20 +169,12 @@ class BoundaryGraph(
             mps.append(p)
         # a marked point is an intersection point of every two of its branches
         through = Counter(pair for p in mps for pair in combinations(sorted(set(p.branches)), 2))
-        points = {(e.a, e.b): e.multiplicity for e in es}
         for (a, b), n in through.items():
             if points.get((a, b), 0) < n:
                 raise InvalidGraph(
                     f"marked points through {a!r} and {b!r} outnumber their intersection points"
                 )
-        if rho < 1:
-            raise InvalidGraph("Picard rank must be positive")
-        return BoundaryGraph(
-            vertices=tuple(sorted(vs)),
-            edges=tuple(sorted(es)),
-            marked_points=tuple(sorted(mps)),
-            picard_rank=int(rho),
-        )
+        return _store(vs, es, tuple(sorted(mps)), _count(rho, "rho"))
 
     # -- lookups ---------------------------------------------------------
 
@@ -354,14 +336,21 @@ def _fresh_id(g: BoundaryGraph) -> str:
     return f"E{k}"
 
 
-def _surgery_result(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
-    """Trusted constructor for blow-up and blow-down results only.
+def _count(value, field: str) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``): counts are never truncated."""
+    if type(value) is not int:
+        raise InvalidGraph(f"{field} must be an integer, got {value!r}")
+    return value
 
-    Sorts vertices and edges into the order ``build`` stores them in (ids
-    and endpoint pairs are unique, so the keys decide) but re-normalizes
-    and re-checks nothing else: surgery on a valid graph keeps ids unique,
-    edges normalized and marked points valid.  It can drop the Picard rank
-    below one, so that check stays.
+
+def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
+    """The one store of a graph, for ``build`` and for surgery results.
+
+    Sorts vertices by id and edges by endpoint pair (both are unique, so
+    the keys decide) and checks that the Picard rank is positive, which
+    a blow-down can break; ``marked_points`` comes sorted.  It re-checks
+    nothing else: ``build`` has, and surgery on a valid graph keeps ids
+    unique, edges in order and marked points valid.
     """
     if rho < 1:
         raise InvalidGraph("Picard rank must be positive")
@@ -414,15 +403,15 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
         es = [x for x in g.edges if x is not e]
         if e.multiplicity > 1:
             es.append(Edge(e.a, e.b, e.multiplicity - 1))
-        es += [Edge(*sorted((eid, a))), Edge(*sorted((eid, b)))]
-        return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
+        es += [Edge(eid, a), Edge(eid, b)]
+        return _store(vs, es, g.marked_points, g.picard_rank + 1)
     vc = g.vertex(node)
     if vc.nodes < 1:
         raise NoSuchIntersection(f"{node!r} has no nodes")
     vs = _with_vertex(g.vertices, (node,), -4, -1)
     vs.append(CurveVertex(eid, -1, 2 * vc.coeff - 1))
-    es = [*g.edges, Edge(*sorted((eid, node)), multiplicity=2)]
-    return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
+    es = [*g.edges, Edge(eid, node, 2)]
+    return _store(vs, es, g.marked_points, g.picard_rank + 1)
 
 
 def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph:
@@ -437,8 +426,8 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
         raise InvalidGraph(f"vertex id {eid!r} already in use")
     vs = _with_vertex(g.vertices, (vertex,), -1)
     vs.append(CurveVertex(eid, -1, vc.coeff - 1))
-    es = [*g.edges, Edge(*sorted((eid, vertex)))]
-    return _surgery_result(vs, es, g.marked_points, g.picard_rank + 1)
+    es = [*g.edges, Edge(eid, vertex)]
+    return _store(vs, es, g.marked_points, g.picard_rank + 1)
 
 
 def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
@@ -475,7 +464,7 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
         gain = pair_gain.pop((e.a, e.b), 0)
         es.append(Edge(e.a, e.b, e.multiplicity + gain) if gain else e)
     es += [Edge(a, b, m) for (a, b), m in pair_gain.items()]
-    return _surgery_result(vs, es, g.marked_points, g.picard_rank - 1)
+    return _store(vs, es, g.marked_points, g.picard_rank - 1)
 
 
 def is_crepant_blowdown(g: BoundaryGraph, vertex: str) -> bool:

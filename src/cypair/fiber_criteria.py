@@ -504,10 +504,6 @@ def fiber_to_json(f: FiberSpec) -> dict:
     }
 
 
-def _json_bool(value, field: str) -> bool:
-    return _flag(value, field, "malformed fiber JSON")
-
-
 def fiber_from_json(data: dict) -> FiberSpec:
     if not isinstance(data, dict) or "rank" not in data:
         raise FiberError("fiber JSON needs a 'rank' field")
@@ -517,13 +513,15 @@ def fiber_from_json(data: dict) -> FiberSpec:
         node = data.get("node", {})
         return FiberSpec.build(
             components=[
-                (c["sq"], _json_bool(c.get("irreducible", True), "irreducible"))
+                (c["sq"], _flag(c.get("irreducible", True), "irreducible", "malformed fiber JSON"))
                 for c in data["components"]
             ],
-            has_node=_json_bool(node.get("present", False), "node.present"),
+            has_node=_flag(node.get("present", False), "node.present", "malformed fiber JSON"),
             volume=data["volume"],
             rank=data["rank"],
-            smooth_locus=_json_bool(data.get("smooth_locus", True), "smooth_locus"),
+            smooth_locus=_flag(
+                data.get("smooth_locus", True), "smooth_locus", "malformed fiber JSON"
+            ),
             node_at=node_location(node.get("at", SMOOTH_POINT)),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -37,9 +37,8 @@ def as_rational(value) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def rational_to_json(q: Fraction):
+def rational_to_json(q: int | Fraction):
     """Emit an int when integral, else a ``"p/q"`` string."""
-    q = Fraction(q)
     if q.denominator == 1:
-        return int(q)
+        return q.numerator
     return f"{q.numerator}/{q.denominator}"

@@ -1,0 +1,156 @@
+"""Mutation checks: break the program on purpose, one row at a time, and
+require the row's tests to catch it.
+
+Run from anywhere with ``python tests/mutants.py``.  The runner copies
+``src/`` into a temporary directory and first runs every row's tests on
+the unchanged copy, which must pass.  Then, for each row, it replaces the
+row's snippet in its module, runs the row's pytest node ids against the
+copy with ``-x``, and puts the module back.  A row is
+
+- killed when the tests fail (pytest exit code 1);
+- a survivor when they all pass;
+- stale when its snippet does not occur exactly once, so a refactor
+  that moves the code shows up here and not as a pass;
+- broken on any other pytest exit code: an unknown node id, or a test
+  module that does not import under the mutant.  Name tests whose
+  modules still collect.
+
+It exits 0 only when every row is killed.  pytest does not collect this
+file, since its name does not start with ``test_``.
+
+Each row is (name, module path under ``src/``, snippet, replacement,
+node ids).  A change that deletes or rewrites the code of a row updates
+the row, or removes it and says why.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BG = "cypair/boundary_graph.py"
+FC = "cypair/fiber_criteria.py"
+BUILD = "tests/test_boundary_graph.py::TestBuild"
+CHECK = "tests/test_certificates.py::TestCheckWitness"
+
+MUTANTS = [
+    # -- one path into a BoundaryGraph
+    (
+        "Edge keeps its endpoints in the order given",
+        BG,
+        "        if a > b:\n            a, b = b, a\n",
+        "",
+        # the fixtures fail to build under this mutant, so no module that
+        # loads them at import (test_boundary_graph.py among them) collects
+        ["tests/test_value_types.py::test_an_edge_stores_its_endpoints_in_order"],
+    ),
+    (
+        "the store accepts a Picard rank below one",
+        BG,
+        '    if rho < 1:\n        raise InvalidGraph("Picard rank must be positive")\n',
+        "",
+        [f"{BUILD}::test_rank_must_be_positive",
+         "tests/test_boundary_graph.py::TestBlowdown::test_rank_one_refused"],
+    ),
+    (
+        "build accepts a duplicate edge",
+        BG,
+        '        if len(points) != len(es):\n'
+        '            raise InvalidGraph("duplicate edge; merge multiplicities instead")\n',
+        "",
+        [f"{BUILD}::test_duplicate_edges_are_refused"],
+    ),
+    # -- the witness checker
+    (
+        "the checker flips the sign of D^2",
+        FC,
+        "    if bg.divisor_square(g, m) < 0:",
+        "    if -bg.divisor_square(g, m) < 0:",
+        [f"{CHECK}::test_broken_certificates_are_refused"],
+    ),
+    (
+        "the checker accepts a node inside the support",
+        FC,
+        "    if witness.node not in corners(g) or any(m.get(c, 0) for c in witness.node[1:]):",
+        "    if witness.node not in corners(g):",
+        [f"{CHECK}::test_broken_certificates_are_refused"],
+    ),
+    (
+        "the checker replays each step at the first edge",
+        FC,
+        "            g = bg.blowup_corner(g, edge=step[1:])",
+        "            g = bg.blowup_corner(g, edge=(g.edges[0].a, g.edges[0].b))",
+        [f"{CHECK}::test_witnesses_off_the_first_corner_pass"],
+    ),
+    # -- the witness search, caught by the checker
+    (
+        "the search flips the sign of the scanned form",
+        FC,
+        "            elif support and qx >= 0:",
+        "            elif support and -qx >= 0:",
+        [f"{CHECK}::test_known_witnesses_pass"],
+    ),
+    (
+        "the search takes the node inside the support",
+        FC,
+        "    node = next(t for t in _corners(g) if not any(",
+        "    node = next(t for t in _corners(g) if any(",
+        [f"{CHECK}::test_known_witnesses_pass"],
+    ),
+    (
+        "the search records the last step at the first corner",
+        FC,
+        "return _witness(child, script + (target,), m, index)",
+        "return _witness(child, script + (next(_corners(g)),), m, index)",
+        [f"{CHECK}::test_witnesses_off_the_first_corner_pass"],
+    ),
+]
+
+
+def run_tests(src: Path, nodes: list[str]) -> int:
+    """pytest's exit code for ``nodes`` run with ``-x`` against ``src``."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={src}", *nodes]
+    # no bytecode: a mutant and the restored module may share size and mtime
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        every_node = sorted({node for *_, nodes in MUTANTS for node in nodes})
+        if run_tests(src, every_node) != 0:
+            print("the rows' tests fail on the unchanged source; nothing was checked")
+            return 1
+        killed = 0
+        for name, module, snippet, replacement, nodes in MUTANTS:
+            path = src / module
+            original = path.read_text()
+            found = original.count(snippet)
+            if found != 1:
+                status = f"stale: the snippet occurs {found} times in {module}"
+            else:
+                path.write_text(original.replace(snippet, replacement))
+                try:
+                    code = run_tests(src, nodes)
+                finally:
+                    path.write_text(original)
+                status = {0: "SURVIVED", 1: "killed"}.get(code, f"broken: pytest exit code {code}")
+            killed += status == "killed"
+            print(f"{status:10} {name}")
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

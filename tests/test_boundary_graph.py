@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as Fr
@@ -408,6 +409,19 @@ class TestJson:
             with pytest.raises(bg.InvalidGraph, match=f"{field} must be an integer"):
                 bg.graph_from_json(spec(**{field: bad}))
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, Fr(1), "1", True, None])
+    def test_build_refuses_non_integer_counts(self, bad):
+        # refused, not truncated: 1.9 nodes must not build a graph with one
+        def counts(nodes=1, m=1, rho=1):
+            return [("L", 1, 1, nodes), ("M", 1, 1)], [("L", "M", m)], (), rho
+
+        g = build(*counts())
+        assert (g.vertex("L").nodes, g.edges[0].multiplicity, g.picard_rank) == (1, 1, 1)
+        for field, key in (("nodes", "nodes"), ("multiplicity", "m"), ("rho", "rho")):
+            message = f"^{field} must be an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(bg.InvalidGraph, match=message):
+                build(*counts(**{key: bad}))
+
     @pytest.mark.parametrize("field, value, kind", [
         ("id", ["L"], "a string"), ("id", 1, "a string"), ("a", 1, "a string"),
         ("b", None, "a string"), ("branches", "LMN", "an array"), ("branch", 1, "a string"),
@@ -424,6 +438,42 @@ class TestJson:
         }
         with pytest.raises(bg.InvalidGraph, match=f"^malformed graph JSON: {field} must be {kind}"):
             bg.graph_from_json(spec)
+
+
+class TestBuild:
+    def test_stored_graphs_build_to_themselves(self):
+        # as values, and as plain tuples with every edge given the other
+        # way round and the vertices in reverse order
+        rng = random.Random(20261019)
+        graphs = [fixtures.load_fixture(name) for name in fixtures.fixture_names()
+                  if fixtures.fixture_kind(name) == "graph"]
+        graphs += [random_balanced_seed(rng) for _ in range(40)]
+        graphs += [random_marked_seed(rng) for _ in range(40)]
+        assert any(g.marked_points for g in graphs) and any(len(g.edges) > 2 for g in graphs)
+        for g in graphs:
+            again = build(g.vertices, g.edges, g.marked_points, g.picard_rank)
+            plain = build(
+                [tuple(v) for v in reversed(g.vertices)],
+                [(e.b, e.a, e.multiplicity) for e in g.edges],
+                [p.branches for p in g.marked_points],
+                g.picard_rank,
+            )
+            for h in (again, plain):
+                assert h == g and repr(h) == repr(g)
+
+    def test_the_first_bad_edge_decides_the_error(self):
+        with pytest.raises(bg.InvalidGraph, match="^edge A-Z references a missing vertex$"):
+            build([("A", 0, 1)], [("A", "Z"), ("A", "A")])
+
+    @pytest.mark.parametrize("rho", [0, -1])
+    def test_rank_must_be_positive(self, rho):
+        with pytest.raises(bg.InvalidGraph, match="^Picard rank must be positive$"):
+            build([("A", 0, 1)], rho=rho)
+
+    @pytest.mark.parametrize("es", [[("A", "B"), ("A", "B", 2)], [("A", "B"), ("B", "A")]])
+    def test_duplicate_edges_are_refused(self, es):
+        with pytest.raises(bg.InvalidGraph, match="^duplicate edge; merge multiplicities"):
+            build([("A", 0, 1), ("B", 0, 1)], es)
 
 
 @settings(max_examples=60, deadline=None)

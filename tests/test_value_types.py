@@ -121,6 +121,11 @@ def test_repr_is_unchanged(name):
     assert repr(value) == expected
 
 
+def test_an_edge_stores_its_endpoints_in_order():
+    assert bg.Edge("B", "A", 2) == bg.Edge("A", "B", 2)
+    assert repr(bg.Edge("B", "A", 2)) == "Edge(a='A', b='B', multiplicity=2)"
+
+
 @pytest.mark.parametrize("name", VALUES)
 def test_hash_is_the_tuple_hash(name):
     value, _ = VALUES[name]
