@@ -37,7 +37,6 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import attrgetter
 
 from .rationals import as_rational, rational_to_json
 
@@ -137,15 +136,18 @@ class BoundaryGraph(
         ``vertices`` is an iterable of (id, self_int, coeff[, nodes]) tuples,
         ``edges`` of (a, b[, mult]) tuples, both read alike from
         ``CurveVertex`` and ``Edge`` values, and ``marked_points`` of
-        branch-id tuples.  Node counts, multiplicities and the rank must be
-        ``int``s, not ``bool``s.  Ids must be unique, edges and marked points
-        must name existing vertices, and every two branches of a marked
-        point must meet there (so two curves meet at least once per marked
-        point through both).  The first bad vertex or edge decides the
-        error.  Stored through ``_store``, as surgery results are.
+        branch-id tuples or ``MarkedPoint`` values; a longer tuple or a string
+        marked point is refused.  Node counts, multiplicities and the rank
+        must be ``int``s, not ``bool``s.  Ids must be unique, edges and
+        marked points must name existing vertices, and every two branches of
+        a marked point must meet there (so two curves meet at least once per
+        marked point through both).  The first bad vertex or edge decides
+        the error.  Stored through ``_store``, as surgery results are.
         """
         vs = []
         for vid, sq, coeff, *rest in vertices:
+            if len(rest) > 1:
+                raise InvalidGraph(f"vertex {vid} has {3 + len(rest)} fields, not 3 or 4")
             nodes = _count(rest[0] if rest else 0, "nodes")
             vs.append(CurveVertex(str(vid), as_rational(sq), as_rational(coeff), nodes))
         known = {v.id for v in vs}
@@ -153,6 +155,8 @@ class BoundaryGraph(
             raise InvalidGraph("duplicate vertex id")
         es = []
         for a, b, *rest in edges:
+            if len(rest) > 1:
+                raise InvalidGraph(f"edge {a}-{b} has {2 + len(rest)} fields, not 2 or 3")
             e = Edge(str(a), str(b), _count(rest[0] if rest else 1, "multiplicity"))
             if e.a not in known or e.b not in known:
                 raise InvalidGraph(f"edge {e.a}-{e.b} references a missing vertex")
@@ -162,8 +166,10 @@ class BoundaryGraph(
             raise InvalidGraph("duplicate edge; merge multiplicities instead")
         mps = []
         for p in marked_points:
-            if not isinstance(p, MarkedPoint):
-                p = MarkedPoint(tuple(str(b) for b in p))
+            branches = p.branches if isinstance(p, MarkedPoint) else p
+            if isinstance(branches, str):
+                raise InvalidGraph(f"marked point {branches!r} is a string, not a branch list")
+            p = MarkedPoint(tuple(str(b) for b in branches))
             if any(b not in known for b in p.branches):
                 raise InvalidGraph("marked point references a missing vertex")
             mps.append(p)
@@ -346,28 +352,16 @@ def _count(value, field: str) -> int:
 def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
     """The one store of a graph, for ``build`` and for surgery results.
 
-    Sorts vertices by id and edges by endpoint pair (both are unique, so
-    the keys decide) and checks that the Picard rank is positive, which
-    a blow-down can break; ``marked_points`` comes sorted.  It re-checks
-    nothing else: ``build`` has, and surgery on a valid graph keeps ids
-    unique, edges in order and marked points valid.
+    Sorts vertices and edges as the tuples they are and checks that the
+    Picard rank is positive, which a blow-down can break; ``marked_points``
+    comes sorted.  Ids are unique and so are endpoint pairs, so a tuple's
+    own order is the id order and the (a, b) order, and no key is needed.
+    It re-checks nothing else: ``build`` has, and surgery on a valid graph
+    keeps ids unique, edges in order and marked points valid.
     """
     if rho < 1:
         raise InvalidGraph("Picard rank must be positive")
-    return BoundaryGraph(
-        vertices=tuple(sorted(vertices, key=attrgetter("id"))),
-        edges=tuple(sorted(edges, key=attrgetter("a", "b"))),
-        marked_points=marked_points,
-        picard_rank=rho,
-    )
-
-
-def _with_vertex(vs, vids, d_sq, d_nodes=0) -> list[CurveVertex]:
-    """``vs`` with the vertices named in ``vids`` shifted in self_int and nodes."""
-    return [
-        CurveVertex(v.id, v.self_int + d_sq, v.coeff, v.nodes + d_nodes) if v.id in vids else v
-        for v in vs
-    ]
+    return BoundaryGraph(tuple(sorted(vertices)), tuple(sorted(edges)), marked_points, rho)
 
 
 # -- blow-ups and blow-downs ------------------------------------------------
@@ -397,9 +391,13 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
             raise NoSuchIntersection(
                 f"every intersection point of {a!r} and {b!r} lies at a marked point"
             )
-        va, vb = g.vertex(a), g.vertex(b)
-        vs = _with_vertex(g.vertices, (a, b), -1)
-        vs.append(CurveVertex(eid, -1, va.coeff + vb.coeff - 1))
+        vs, coeff = [], -1
+        for v in g.vertices:
+            if v.id == a or v.id == b:
+                coeff += v.coeff
+                v = CurveVertex(v.id, v.self_int - 1, v.coeff, v.nodes)
+            vs.append(v)
+        vs.append(CurveVertex(eid, -1, coeff))
         es = [x for x in g.edges if x is not e]
         if e.multiplicity > 1:
             es.append(Edge(e.a, e.b, e.multiplicity - 1))
@@ -408,8 +406,8 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
     vc = g.vertex(node)
     if vc.nodes < 1:
         raise NoSuchIntersection(f"{node!r} has no nodes")
-    vs = _with_vertex(g.vertices, (node,), -4, -1)
-    vs.append(CurveVertex(eid, -1, 2 * vc.coeff - 1))
+    vs = [*g.vertices, CurveVertex(eid, -1, 2 * vc.coeff - 1)]
+    vs[g.vertices.index(vc)] = CurveVertex(vc.id, vc.self_int - 4, vc.coeff, vc.nodes - 1)
     es = [*g.edges, Edge(eid, node, 2)]
     return _store(vs, es, g.marked_points, g.picard_rank + 1)
 
@@ -424,8 +422,8 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
     eid = new_id or _fresh_id(g)
     if g.has_vertex(eid):
         raise InvalidGraph(f"vertex id {eid!r} already in use")
-    vs = _with_vertex(g.vertices, (vertex,), -1)
-    vs.append(CurveVertex(eid, -1, vc.coeff - 1))
+    vs = [*g.vertices, CurveVertex(eid, -1, vc.coeff - 1)]
+    vs[g.vertices.index(vc)] = CurveVertex(vc.id, vc.self_int - 1, vc.coeff, vc.nodes)
     es = [*g.edges, Edge(eid, vertex)]
     return _store(vs, es, g.marked_points, g.picard_rank + 1)
 
@@ -438,7 +436,9 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
     the product of their multiplicities in new intersection points.  The
     contracted coefficient is discarded: use is_crepant_blowdown to test
     whether the contraction preserves the log Calabi-Yau structure.
-    Vertices and edges the contraction does not touch are reused as they are.
+    One pass over the edges collects the curve's multiplicities and keeps
+    the other edges; only an edge between two neighbours looks up its
+    gain.  Vertices and edges the contraction does not touch are reused.
     """
     v = g.vertex(vertex)
     if v.self_int != -1:
@@ -447,23 +447,22 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
         raise VertexHasNodes(f"{vertex!r} carries nodes and is not a smooth (-1)-curve")
     if any(vertex in p.branches for p in g.marked_points):
         raise InvalidGraph(f"{vertex!r} appears in a marked point")
-    mults = {e.other(vertex): e.multiplicity for e in g.edges_at(vertex)}
-    vs = []
-    for w in g.vertices:
-        m = mults.get(w.id)
-        if m:
-            w = CurveVertex(w.id, w.self_int + m * m, w.coeff, w.nodes + m * (m - 1) // 2)
-        elif w.id == vertex:
-            continue
-        vs.append(w)
-    pair_gain = {(a, b): mults[a] * mults[b] for a, b in combinations(sorted(mults), 2)}
-    es = []
+    mults, es = {}, []
     for e in g.edges:
-        if vertex in (e.a, e.b):
-            continue
-        gain = pair_gain.pop((e.a, e.b), 0)
-        es.append(Edge(e.a, e.b, e.multiplicity + gain) if gain else e)
-    es += [Edge(a, b, m) for (a, b), m in pair_gain.items()]
+        if e.a == vertex:
+            mults[e.b] = e.multiplicity
+        elif e.b == vertex:
+            mults[e.a] = e.multiplicity
+        else:
+            es.append(e)
+    vs = [CurveVertex(w.id, w.self_int + m * m, w.coeff, w.nodes + m * (m - 1) // 2)
+          if (m := mults.get(w.id)) else w for w in g.vertices if w is not v]
+    if len(mults) > 1:
+        pair_gain = {(a, b): mults[a] * mults[b] for a, b in combinations(sorted(mults), 2)}
+        for i, e in enumerate(es):
+            if e.a in mults and e.b in mults:
+                es[i] = Edge(e.a, e.b, e.multiplicity + pair_gain.pop((e.a, e.b)))
+        es += [Edge(a, b, m) for (a, b), m in pair_gain.items()]
     return _store(vs, es, g.marked_points, g.picard_rank - 1)
 
 

@@ -67,6 +67,28 @@ MUTANTS = [
         "",
         [f"{BUILD}::test_duplicate_edges_are_refused"],
     ),
+    # -- one pass per surgery
+    (
+        "the blow-down drops the gain between two neighbours",
+        BG,
+        "e.multiplicity + pair_gain.pop((e.a, e.b))",
+        "e.multiplicity + 0 * pair_gain.pop((e.a, e.b))",
+        ["tests/test_boundary_graph.py::TestBlowdown::test_neighbours_that_meet_gain_more_points"],
+    ),
+    (
+        "the corner blow-up lowers only endpoint a",
+        BG,
+        "v = CurveVertex(v.id, v.self_int - 1, v.coeff, v.nodes)",
+        "v = CurveVertex(v.id, v.self_int - (v.id == a), v.coeff, v.nodes)",
+        ["tests/test_boundary_graph.py::TestBlowdown::test_roundtrip_corner_edge"],
+    ),
+    (
+        "the store leaves the edges unsorted",
+        BG,
+        "tuple(sorted(edges))",
+        "tuple(edges)",
+        ["tests/test_boundary_graph.py::test_store_sorts_as_the_keyed_sort"],
+    ),
     # -- the witness checker
     (
         "the checker flips the sign of D^2",

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction as Fr
 from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,17 @@ class TestBlowdown:
         assert out.intersection("C", "Cp") == 1
         assert out.vertex("C").self_int == -2
         assert out.vertex("Cp").self_int == -2
+
+    def test_neighbours_that_meet_gain_more_points(self):
+        g = build(
+            [("C", -3, 1), ("Cp", -3, 1), ("E", -1, 1)],
+            [("E", "C", 2), ("E", "Cp"), ("C", "Cp")],
+            rho=3,
+        )
+        out = bg.blowdown(g, "E")
+        assert out.intersection("C", "Cp") == 1 + 2 * 1
+        assert out.vertex("C") == ("C", 1, 1, 1)
+        assert out.vertex("Cp") == ("Cp", -2, 1, 0)
 
     def test_requires_minus_one(self):
         with pytest.raises(bg.NotMinusOneCurve):
@@ -475,6 +487,44 @@ class TestBuild:
         with pytest.raises(bg.InvalidGraph, match="^duplicate edge; merge multiplicities"):
             build([("A", 0, 1), ("B", 0, 1)], es)
 
+    @pytest.mark.parametrize("vs, es, message", [
+        ([("A", 0, 1, 0, "junk"), ("B", 0, 1)], [("A", "B", 1)], "vertex A has 5 fields, not 3 or 4"),
+        ([("A", 0, 1), ("B", 0, 1)], [("A", "B", 1, "x")], "edge A-B has 4 fields, not 2 or 3"),
+    ])
+    def test_longer_tuples_are_refused(self, vs, es, message):
+        with pytest.raises(bg.InvalidGraph, match=f"^{message}$"):
+            build(vs, es)
+
+    @pytest.mark.parametrize("point", ["ABC", bg.MarkedPoint("ABC")])
+    def test_a_string_marked_point_is_refused(self, point):
+        vs = [("A", 0, 1), ("B", 0, 1), ("C", 0, 1)]
+        es = [("A", "B"), ("A", "C"), ("B", "C")]
+        with pytest.raises(bg.InvalidGraph, match="^marked point 'ABC' is a string, not a branch"):
+            build(vs, es, [point])
+        want = (bg.MarkedPoint(("A", "B", "C")),)
+        assert build(vs, es, [["A", "B", "C"]]).marked_points == want
+        assert build(vs, es, want).marked_points == want
+
+
+def test_store_sorts_as_the_keyed_sort():
+    # ids and endpoint pairs are unique, so sorting the tuples themselves
+    # gives the order of a sort keyed on the id and on (a, b)
+    rng = random.Random(20261019)
+    names = [f"E{k}" for k in range(1, 13)] + ["A", "B", "C1", "C10", "C2"]
+    sqs = (-2, -1, Fr(-1, 3), Fr(5, 2), 4)
+    assert "E10" < "E9" and "C10" < "C2"
+    for _ in range(300):
+        ids = rng.sample(names, rng.randint(1, len(names)))
+        vs = [bg.CurveVertex(i, rng.choice(sqs), rng.choice(COEFFS), rng.randint(0, 2))
+              for i in ids]
+        es = [bg.Edge(a, b, rng.randint(1, 3)) for a, b in combinations(ids, 2)
+              if rng.random() < 0.4]
+        rng.shuffle(vs)
+        rng.shuffle(es)
+        g = bg._store(vs, es, (), rng.randint(1, 4))
+        assert g.vertices == tuple(sorted(vs, key=attrgetter("id")))
+        assert g.edges == tuple(sorted(es, key=attrgetter("a", "b")))
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 4))
@@ -559,6 +609,15 @@ def _contracted_chain(rng: random.Random) -> bg.BoundaryGraph:
     return bg.contract_minus2_chains(g, [[f"E{k}" for k in range(i, j + 1)]]).singular
 
 
+def _nodal_minus_one(rng: random.Random) -> bg.BoundaryGraph:
+    """A nodal curve blown up at smooth points until it is a (-1)-curve,
+    which the blow-down refuses for its node."""
+    g = build([("B", rng.randint(-1, 4), 1, 1)])
+    while g.vertex("B").self_int > -1:
+        g = bg.blowup_interior(g, "B")
+    return g
+
+
 def _variants(rng: random.Random, g: bg.BoundaryGraph) -> list[bg.BoundaryGraph]:
     """g; g with one self-intersection or coefficient nudged, which mostly
     unbalances it; g at Picard rank one."""
@@ -632,7 +691,7 @@ class TestFastPathsMatchReference:
     def test_random_graphs(self):
         rng = random.Random(20241019)
         sources = (random_balanced_seed, random_marked_seed, random_witness_fiber,
-                   _contracted_chain)
+                   _contracted_chain, _nodal_minus_one)
         balanced = set()
         refusals = set()
         for i in range(100):
@@ -642,8 +701,12 @@ class TestFastPathsMatchReference:
                     if isinstance(out, bg.GraphError):
                         refusals.add(str(out))
         assert balanced == {True, False}
-        for phrase in ("lies at a marked point", "already in use", "not -1",
-                       "Picard rank must be positive", "appears in a marked point"):
+        # every refusal of the blow-ups and the blow-down, so that a check
+        # that moves ahead of another shows as a different message
+        for phrase in ("pass exactly one of", "already in use", "no intersection point between",
+                       "lies at a marked point", "has no nodes", "no vertex", "not -1",
+                       "carries nodes", "appears in a marked point",
+                       "Picard rank must be positive"):
             assert any(phrase in message for message in refusals), phrase
 
     def test_int_fields(self):
