@@ -118,7 +118,11 @@ class MarkedPoint(namedtuple("MarkedPoint", "branches")):
 
     __slots__ = ()
 
-    def __new__(cls, branches: tuple[str, ...]):
+    def __new__(cls, branches):
+        # a string would split into one-character branch ids
+        if isinstance(branches, str):
+            raise InvalidGraph(f"marked point {branches!r} is a string, not a branch list")
+        branches = tuple(str(b) for b in branches)
         if len(branches) < 3:
             raise InvalidGraph("marked points need at least 3 branches")
         return super().__new__(cls, branches)
@@ -136,27 +140,29 @@ class BoundaryGraph(
         ``vertices`` is an iterable of (id, self_int, coeff[, nodes]) tuples,
         ``edges`` of (a, b[, mult]) tuples, both read alike from
         ``CurveVertex`` and ``Edge`` values, and ``marked_points`` of
-        branch-id tuples or ``MarkedPoint`` values; a longer tuple or a string
-        marked point is refused.  Node counts, multiplicities and the rank
-        must be ``int``s, not ``bool``s.  Ids must be unique, edges and
-        marked points must name existing vertices, and every two branches of
-        a marked point must meet there (so two curves meet at least once per
-        marked point through both).  The first bad vertex or edge decides
+        branch-id tuples or ``MarkedPoint`` values; a tuple of another length
+        or a string marked point is refused.  Node counts, multiplicities and
+        the rank must be ``int``s, not ``bool``s.  Ids must be unique, edges
+        and marked points must name existing vertices, and every two branches
+        of a marked point must meet there (so two curves meet at least once
+        per marked point through both).  The first bad vertex or edge decides
         the error.  Stored through ``_store``, as surgery results are.
         """
         vs = []
-        for vid, sq, coeff, *rest in vertices:
-            if len(rest) > 1:
-                raise InvalidGraph(f"vertex {vid} has {3 + len(rest)} fields, not 3 or 4")
+        for v in vertices:
+            if not 3 <= len(v) <= 4:
+                raise _wrong_length("vertex", v[:1], len(v), 3)
+            vid, sq, coeff, *rest = v
             nodes = _count(rest[0] if rest else 0, "nodes")
             vs.append(CurveVertex(str(vid), as_rational(sq), as_rational(coeff), nodes))
         known = {v.id for v in vs}
         if len(known) != len(vs):
             raise InvalidGraph("duplicate vertex id")
         es = []
-        for a, b, *rest in edges:
-            if len(rest) > 1:
-                raise InvalidGraph(f"edge {a}-{b} has {2 + len(rest)} fields, not 2 or 3")
+        for e in edges:
+            if not 2 <= len(e) <= 3:
+                raise _wrong_length("edge", e[:2], len(e), 2)
+            a, b, *rest = e
             e = Edge(str(a), str(b), _count(rest[0] if rest else 1, "multiplicity"))
             if e.a not in known or e.b not in known:
                 raise InvalidGraph(f"edge {e.a}-{e.b} references a missing vertex")
@@ -166,10 +172,7 @@ class BoundaryGraph(
             raise InvalidGraph("duplicate edge; merge multiplicities instead")
         mps = []
         for p in marked_points:
-            branches = p.branches if isinstance(p, MarkedPoint) else p
-            if isinstance(branches, str):
-                raise InvalidGraph(f"marked point {branches!r} is a string, not a branch list")
-            p = MarkedPoint(tuple(str(b) for b in branches))
+            p = MarkedPoint(p.branches if isinstance(p, MarkedPoint) else p)
             if any(b not in known for b in p.branches):
                 raise InvalidGraph("marked point references a missing vertex")
             mps.append(p)
@@ -347,6 +350,12 @@ def _count(value, field: str) -> int:
     if type(value) is not int:
         raise InvalidGraph(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def _wrong_length(kind: str, name: tuple, n: int, least: int) -> InvalidGraph:
+    """The error for a ``kind`` tuple of ``n`` fields whose id fields are ``name``."""
+    label = "-".join(map(str, name))
+    return InvalidGraph(f"{kind} {label} has {n} fields, not {least} or {least + 1}")
 
 
 def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:

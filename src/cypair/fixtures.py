@@ -1,14 +1,16 @@
 """Bundled fixture corpus: dual graphs, fiber specs and fans.
 
-Every fixture is built once, when the module is imported; the values are
-immutable, so all callers share them.  Graph encodings follow the drawing
-convention of the resolution diagrams they reproduce: solid curves are
-(-2)-curves, dashed ones are (-1)-curves, and per-vertex comments record
-the panel position.  The EXPECTED table pins the verdict of each fixture
-for the CLI regression suite.
+Every fixture is built once, on first load; the values are immutable, so
+all callers share them.  Graph encodings follow the drawing convention of
+the resolution diagrams they reproduce: solid curves are (-2)-curves,
+dashed ones are (-1)-curves, and per-vertex comments record the panel
+position.  The EXPECTED table pins the verdict of each fixture for the
+CLI regression suite.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .boundary_graph import BoundaryGraph
 from .fiber_criteria import FiberSpec
@@ -224,70 +226,64 @@ def _ex64_pair() -> BoundaryGraph:
     return BoundaryGraph.build(vs, es, marked_points=[("F", "D1", "D2")], rho=2)
 
 
-_GRAPHS = {
-    "fig5.A7.before": _y_a7(),
-    "fig5.A7.after": _y_a1a5(),
-    "fig6.A8.before": _y_a8(),
-    "fig6.A8.after": _y_a2a5(),
-    "fig7.A1A7.before": _y_a1a7(),
-    "fig7.A1A7.after": _y_a12a3(),
-    "fig8.2A4.before": _y_2a4(),
-    "fig8.2A4.after": _y_a4(),
-    "fig9.A1A2A5": _y_a1a2a5(),
-    "ex62.graph": BoundaryGraph.build(
+_FIXTURES = {
+    "fig5.A7.before": ("graph", _y_a7),
+    "fig5.A7.after": ("graph", _y_a1a5),
+    "fig6.A8.before": ("graph", _y_a8),
+    "fig6.A8.after": ("graph", _y_a2a5),
+    "fig7.A1A7.before": ("graph", _y_a1a7),
+    "fig7.A1A7.after": ("graph", _y_a12a3),
+    "fig8.2A4.before": ("graph", _y_2a4),
+    "fig8.2A4.after": ("graph", _y_a4),
+    "fig9.A1A2A5": ("graph", _y_a1a2a5),
+    "ex62.graph": ("graph", lambda: BoundaryGraph.build(
         # general fiber of the rank-two model: components of self-intersection
         # 0 and -1 meeting at two points
         [("C1", 0, 1), ("C2", -1, 1)], [("C1", "C2", 2)], rho=7
-    ),
-    "ex63.graph": BoundaryGraph.build(
+    )),
+    "ex63.graph": ("graph", lambda: BoundaryGraph.build(
         # resolved general fiber: components of self-intersection 1 and -2
         # meeting at two points
         [("C1", 1, 1), ("C2", -2, 1)], [("C1", "C2", 2)], rho=7
-    ),
-    "ex64.pair": _ex64_pair(),
-    "p2.triangle": BoundaryGraph.build(
+    )),
+    "ex64.pair": ("graph", _ex64_pair),
+    "p2.triangle": ("graph", lambda: BoundaryGraph.build(
         [("L1", 1, 1), ("L2", 1, 1), ("L3", 1, 1)],
         [("L1", "L2"), ("L2", "L3"), ("L1", "L3")],
         rho=1,
-    ),
-    "p2.nodal_cubic": BoundaryGraph.build([("B", 9, 1, 1)], rho=1),
-    "case1.cycle": BoundaryGraph.build(
+    )),
+    "p2.nodal_cubic": ("graph", lambda: BoundaryGraph.build([("B", 9, 1, 1)], rho=1)),
+    "case1.cycle": ("graph", lambda: BoundaryGraph.build(
         # anticanonical 4-cycle of 0-curves: two sections and two fibers
         [("C1", 0, 1), ("D1", 0, 1), ("C2", 0, 1), ("D2", 0, 1)],
         [("C1", "D1"), ("D1", "C2"), ("C2", "D2"), ("D2", "C1")],
         rho=2,
-    ),
-}
-
-_FIBERS = {
+    )),
     # rank-two form: nodal boundary, components 0 and -1, nothing positive
-    "ex62.pic2": FiberSpec.build(
+    "ex62.pic2": ("fiber", lambda: FiberSpec.build(
         [(0, True), (-1, True)], has_node=True, volume=3, rank=2
-    ),
+    )),
     # rank-one form after contracting the (-1)-component: volume 4
-    "ex62.pic1": FiberSpec.build(
+    "ex62.pic1": ("fiber", lambda: FiberSpec.build(
         [(4, True)], has_node=True, volume=4, rank=1
-    ),
+    )),
     # volume-3 fiber whose nodal boundary passes through an A1 point:
     # the rank-one criterion does not apply until the fiber is resolved
-    "ex63.pic1": FiberSpec.build(
+    "ex63.pic1": ("fiber", lambda: FiberSpec.build(
         [(3, True)], has_node=True, volume=3, rank=1, smooth_locus=False, node_at="A1"
-    ),
+    )),
     # resolved form: components 1 and -2, boundary in the smooth locus
-    "ex63.resolved": FiberSpec.build(
+    "ex63.resolved": ("fiber", lambda: FiberSpec.build(
         [(1, True), (-2, True)], has_node=True, volume=3, rank=2
-    ),
-}
-
-_FANS = {
-    "p2.fan": make_fan([(1, 0), (0, 1), (-1, -1)]),
-    "p1xp1.fan": make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]),
-    "p123.fan": make_fan([(1, 0), (0, 1), (-2, -3)]),
+    )),
+    "p2.fan": ("fan", lambda: make_fan([(1, 0), (0, 1), (-1, -1)])),
+    "p1xp1.fan": ("fan", lambda: make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)])),
+    "p123.fan": ("fan", lambda: make_fan([(1, 0), (0, 1), (-2, -3)])),
     # opposite-ray configuration: project along (0, 1) directly
-    "case1.fan": make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]),
+    "case1.fan": ("fan", lambda: make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)])),
     # non-opposite rays (1,0) and (0,1): the form (1,1) is positive on both,
     # and projecting requires inserting the kernel rays first
-    "case2.fan": make_fan([(1, 0), (0, 1), (-1, -1)]),
+    "case2.fan": ("fan", lambda: make_fan([(1, 0), (0, 1), (-1, -1)])),
 }
 
 #: blow-down scripts taking each "before" panel to its "after" panel
@@ -347,13 +343,6 @@ EXPECTED = {
 }
 
 
-_FIXTURES = {
-    name: (kind, value)
-    for kind, table in (("graph", _GRAPHS), ("fiber", _FIBERS), ("fan", _FANS))
-    for name, value in table.items()
-}
-
-
 def _entry(name: str) -> tuple[str, object]:
     try:
         return _FIXTURES[name]
@@ -365,9 +354,10 @@ def fixture_names() -> list[str]:
     return sorted(_FIXTURES)
 
 
-def load_fixture(name: str):
-    """Return the named fixture: a BoundaryGraph, FiberSpec or Fan2."""
-    return _entry(name)[1]
+@functools.cache
+def load_fixture(name: str, /):  # positional-only: the cache keys a keyword call apart
+    """Return the named fixture, a BoundaryGraph, FiberSpec or Fan2, built on first load."""
+    return _entry(name)[1]()
 
 
 def fixture_kind(name: str) -> str:

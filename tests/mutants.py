@@ -13,7 +13,9 @@ copy with ``-x``, and puts the module back.  A row is
   that moves the code shows up here and not as a pass;
 - broken on any other pytest exit code: an unknown node id, or a test
   module that does not import under the mutant.  Name tests whose
-  modules still collect.
+  modules still collect;
+- timed out when its tests run past ``TIMEOUT_S`` seconds, as a mutant
+  that stalls a loop would; the run is killed.
 
 It exits 0 only when every row is killed.  pytest does not collect this
 file, since its name does not start with ``test_``.
@@ -34,9 +36,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# a mutant that stalls a loop must fail the run, not hang it; one pytest
+# run of a row takes about a second
+TIMEOUT_S = 120
 
 BG = "cypair/boundary_graph.py"
 FC = "cypair/fiber_criteria.py"
+FX = "cypair/fixtures.py"
 BUILD = "tests/test_boundary_graph.py::TestBuild"
 CHECK = "tests/test_certificates.py::TestCheckWitness"
 
@@ -47,9 +53,37 @@ MUTANTS = [
         BG,
         "        if a > b:\n            a, b = b, a\n",
         "",
-        # the fixtures fail to build under this mutant, so no module that
-        # loads them at import (test_boundary_graph.py among them) collects
-        ["tests/test_value_types.py::test_an_edge_stores_its_endpoints_in_order"],
+        ["tests/test_value_types.py::test_an_edge_stores_its_endpoints_in_order",
+         f"{BUILD}::test_stored_graphs_build_to_themselves"],
+    ),
+    (
+        "build unpacks a vertex with too few fields",
+        BG,
+        "            if not 3 <= len(v) <= 4:",
+        "            if len(v) > 4:",
+        [f"{BUILD}::test_shorter_tuples_are_refused"],
+    ),
+    (
+        "build unpacks an edge with too few fields",
+        BG,
+        "            if not 2 <= len(e) <= 3:",
+        "            if len(e) > 3:",
+        [f"{BUILD}::test_shorter_tuples_are_refused"],
+    ),
+    (
+        "build accepts an edge to a missing vertex",
+        BG,
+        "            if e.a not in known or e.b not in known:\n"
+        '                raise InvalidGraph(f"edge {e.a}-{e.b} references a missing vertex")\n',
+        "",
+        [f"{BUILD}::test_the_first_bad_edge_decides_the_error"],
+    ),
+    (
+        "build lets marked points outnumber the crossings they sit on",
+        BG,
+        "            if points.get((a, b), 0) < n:",
+        "            if points.get((a, b), 0) < 1:",
+        [f"{BUILD}::test_marked_points_sit_on_intersection_points"],
     ),
     (
         "the store accepts a Picard rank below one",
@@ -88,6 +122,14 @@ MUTANTS = [
         "tuple(sorted(edges))",
         "tuple(edges)",
         ["tests/test_boundary_graph.py::test_store_sorts_as_the_keyed_sort"],
+    ),
+    # -- fixtures built on first load
+    (
+        "every load builds its fixture anew",
+        FX,
+        "@functools.cache\ndef load_fixture",
+        "def load_fixture",
+        ["tests/test_cli.py::TestFixtureShapes::test_every_fixture_is_built_once"],
     ),
     # -- the witness checker
     (
@@ -136,13 +178,18 @@ MUTANTS = [
 ]
 
 
-def run_tests(src: Path, nodes: list[str]) -> int:
-    """pytest's exit code for ``nodes`` run with ``-x`` against ``src``."""
+def run_tests(src: Path, nodes: list[str]) -> int | None:
+    """pytest's exit code for ``nodes`` run with ``-x`` against ``src``, or
+    None when the run is killed after ``TIMEOUT_S`` seconds."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "-o", f"pythonpath={src}", *nodes]
     # no bytecode: a mutant and the restored module may share size and mtime
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode
+    try:
+        return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -152,7 +199,7 @@ def main() -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         every_node = sorted({node for *_, nodes in MUTANTS for node in nodes})
         if run_tests(src, every_node) != 0:
-            print("the rows' tests fail on the unchanged source; nothing was checked")
+            print("the rows' tests fail or time out on the unchanged source; nothing was checked")
             return 1
         killed = 0
         for name, module, snippet, replacement, nodes in MUTANTS:
@@ -167,7 +214,8 @@ def main() -> int:
                     code = run_tests(src, nodes)
                 finally:
                     path.write_text(original)
-                status = {0: "SURVIVED", 1: "killed"}.get(code, f"broken: pytest exit code {code}")
+                status = {None: f"timed out after {TIMEOUT_S} s", 0: "SURVIVED",
+                          1: "killed"}.get(code, f"broken: pytest exit code {code}")
             killed += status == "killed"
             print(f"{status:10} {name}")
     print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")

@@ -100,23 +100,6 @@ class TestBlowupCorner:
         with pytest.raises(bg.NoSuchIntersection):
             bg.blowup_corner(up, edge=("F", "D1"))
 
-    def test_marked_points_sit_on_intersection_points(self):
-        vs = [("A", 0, Fr(1, 2)), ("B", 0, Fr(1, 2)), ("C", 0, Fr(1, 2)), ("D", 0, Fr(1, 2))]
-        # two branches that do not meet, and two marked points through A and B,
-        # which meet once; a branch listed twice is one branch
-        for es, mps in (
-            ([("A", "B"), ("B", "C")], [("A", "B", "C")]),
-            ([("A", "B"), ("B", "C"), ("A", "C"), ("A", "D"), ("B", "D")],
-             [("A", "B", "C"), ("A", "B", "D")]),
-            ([("A", "B")], [("A", "A", "C")]),
-        ):
-            with pytest.raises(bg.InvalidGraph, match="outnumber their intersection points"):
-                build(vs, es, mps)
-        g = build(vs, [("A", "B", 2), ("B", "C"), ("A", "C"), ("A", "D"), ("B", "D")],
-                  [("A", "B", "C"), ("A", "B", "D")])
-        assert len(g.marked_points) == 2
-        assert build(vs, [("A", "C")], [("A", "A", "C")]).marked_points
-
 
 class TestBlowupInterior:
     def test_coeff_one(self):
@@ -495,15 +478,44 @@ class TestBuild:
         with pytest.raises(bg.InvalidGraph, match=f"^{message}$"):
             build(vs, es)
 
-    @pytest.mark.parametrize("point", ["ABC", bg.MarkedPoint("ABC")])
-    def test_a_string_marked_point_is_refused(self, point):
+    @pytest.mark.parametrize("vs, es, message", [
+        ([("A", 0), ("B", 0, 1)], [("A", "B")], "vertex A has 2 fields, not 3 or 4"),
+        ([("A", 0, 1), ("B", 0, 1)], [("A",)], "edge A has 1 fields, not 2 or 3"),
+    ])
+    def test_shorter_tuples_are_refused(self, vs, es, message):
+        with pytest.raises(bg.InvalidGraph, match=f"^{message}$"):
+            build(vs, es)
+
+    def test_a_string_marked_point_is_refused(self):
         vs = [("A", 0, 1), ("B", 0, 1), ("C", 0, 1)]
         es = [("A", "B"), ("A", "C"), ("B", "C")]
         with pytest.raises(bg.InvalidGraph, match="^marked point 'ABC' is a string, not a branch"):
-            build(vs, es, [point])
+            build(vs, es, ["ABC"])
         want = (bg.MarkedPoint(("A", "B", "C")),)
         assert build(vs, es, [["A", "B", "C"]]).marked_points == want
         assert build(vs, es, want).marked_points == want
+
+    def test_a_marked_point_is_not_a_string(self):
+        with pytest.raises(bg.InvalidGraph, match="^marked point 'ABC' is a string, not a branch"):
+            bg.MarkedPoint("ABC")
+        assert bg.MarkedPoint(["A", "B", "C"]) == bg.MarkedPoint(("A", "B", "C"))
+
+    def test_marked_points_sit_on_intersection_points(self):
+        vs = [("A", 0, Fr(1, 2)), ("B", 0, Fr(1, 2)), ("C", 0, Fr(1, 2)), ("D", 0, Fr(1, 2))]
+        # two branches that do not meet, and two marked points through A and B,
+        # which meet once; a branch listed twice is one branch
+        for es, mps in (
+            ([("A", "B"), ("B", "C")], [("A", "B", "C")]),
+            ([("A", "B"), ("B", "C"), ("A", "C"), ("A", "D"), ("B", "D")],
+             [("A", "B", "C"), ("A", "B", "D")]),
+            ([("A", "B")], [("A", "A", "C")]),
+        ):
+            with pytest.raises(bg.InvalidGraph, match="outnumber their intersection points"):
+                build(vs, es, mps)
+        g = build(vs, [("A", "B", 2), ("B", "C"), ("A", "C"), ("A", "D"), ("B", "D")],
+                  [("A", "B", "C"), ("A", "B", "D")])
+        assert len(g.marked_points) == 2
+        assert build(vs, [("A", "C")], [("A", "A", "C")]).marked_points
 
 
 def test_store_sorts_as_the_keyed_sort():

@@ -634,6 +634,32 @@ class TestDot:
         assert err.startswith(f"error: cannot write --out {path!r}: ") and "Traceback" not in err
 
 
+_BUILD_COUNT_PROBE = """
+import json
+from collections import Counter
+from cypair import boundary_graph as bg, fiber_criteria as fc, lattice_fan as lf
+
+calls = Counter()
+
+def counted(kind, fn):
+    def wrapper(*args, **kwargs):
+        calls[kind] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+bg.BoundaryGraph.build = staticmethod(counted("graph", bg.BoundaryGraph.build))
+fc.FiberSpec.build = staticmethod(counted("fiber", fc.FiberSpec.build))
+lf.make_fan = counted("fan", lf.make_fan)
+from cypair import cli, fixtures
+for name in fixtures.fixture_names():
+    fixtures.fixture_kind(name)
+on_import = dict(calls)
+for name in fixtures.fixture_names():
+    fixtures.load_fixture(name)
+print(json.dumps([on_import, calls]))
+"""
+
+
 class TestFixtureShapes:
     def test_a7_panel_is_a_cycle_with_two_chords(self):
         g = fixtures.load_fixture("fig5.A7.before")
@@ -653,6 +679,20 @@ class TestFixtureShapes:
     def test_every_fixture_is_built_once(self):
         for name in fixtures.fixture_names():
             assert fixtures.load_fixture(name) is fixtures.load_fixture(name)
+
+    def test_importing_builds_no_fixture(self):
+        # a fresh interpreter counts the value constructions from before the
+        # import on; loading every fixture afterwards shows the count works
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_COUNT_PROBE],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": _src_path()},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        on_import, on_load = json.loads(proc.stdout)
+        assert on_import == {}
+        kinds = [fixtures.fixture_kind(name) for name in fixtures.fixture_names()]
+        assert on_load == {kind: kinds.count(kind) for kind in kinds}
 
     def test_ex62_fiber_volume_is_recorded(self):
         f = fixtures.load_fixture("ex62.pic1")
@@ -737,14 +777,18 @@ def test_refused_inputs(capsys, argv, code, err):
     assert invoke(capsys, *argv) == (code, "", err)
 
 
+def _src_path() -> str:
+    """A PYTHONPATH that puts the ``src`` these tests import ``cypair`` from first."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 def _cli_process(*argv) -> subprocess.Popen:
     """``python -m cypair.cli ARGV`` with this checkout's ``src`` on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "cypair.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": _src_path()},
     )
 
 
