@@ -275,7 +275,7 @@ def is_calabi_yau(g: BoundaryGraph) -> bool:
 
 def complexity(g: BoundaryGraph) -> Fraction:
     """Dimension (2) + Picard rank - sum of boundary coefficients."""
-    return Fraction(2 + g.picard_rank) - sum((v.coeff for v in g.vertices), Fraction(0))
+    return Fraction(2 + g.picard_rank - sum(v.coeff for v in g.vertices))
 
 
 def coregularity(g: BoundaryGraph) -> int:
@@ -359,14 +359,15 @@ def _wrong_length(kind: str, name: tuple, n: int, least: int) -> InvalidGraph:
 
 
 def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
-    """The one store of a graph, for ``build`` and for surgery results.
+    """The one store of a graph: for ``build``, surgery and chain contraction.
 
     Sorts vertices and edges as the tuples they are and checks that the
-    Picard rank is positive, which a blow-down can break; ``marked_points``
-    comes sorted.  Ids are unique and so are endpoint pairs, so a tuple's
-    own order is the id order and the (a, b) order, and no key is needed.
-    It re-checks nothing else: ``build`` has, and surgery on a valid graph
-    keeps ids unique, edges in order and marked points valid.
+    Picard rank is positive, which a blow-down or a contraction can break;
+    ``marked_points`` comes sorted.  Ids are unique and so are endpoint
+    pairs, so a tuple's own order is the id order and the (a, b) order,
+    and no key is needed.  It re-checks nothing else: ``build`` has, and
+    surgery or contraction on a valid graph keeps ids unique, edges in
+    order and marked points valid.
     """
     if rho < 1:
         raise InvalidGraph("Picard rank must be positive")
@@ -558,12 +559,14 @@ def _minus2_components(g: BoundaryGraph) -> list[list[str]]:
     return chains
 
 
-def _check_chain(g: BoundaryGraph, chain: list[str]) -> None:
+def _check_chain(chain: list[str], vertex: dict, meet: dict) -> None:
     if len(set(chain)) != len(chain) or not chain:
         raise NotMinusTwoChain("chain must list distinct vertices")
     coeffs = set()
     for vid in chain:
-        v = g.vertex(vid)
+        v = vertex.get(vid)
+        if v is None:
+            raise NoSuchVertex(f"no vertex {vid!r}")
         if v.self_int != -2:
             raise NotMinusTwoChain(f"{vid!r} has self-intersection {v.self_int}, not -2")
         if v.nodes:
@@ -572,11 +575,11 @@ def _check_chain(g: BoundaryGraph, chain: list[str]) -> None:
     if len(coeffs) > 1:
         raise NotMinusTwoChain("chain coefficients differ")
     for a, b in zip(chain, chain[1:]):
-        if g.intersection(a, b) != 1:
+        if meet.get((a, b)) != 1:
             raise NotMinusTwoChain(f"{a!r} and {b!r} are not chain neighbours")
     for i, a in enumerate(chain):
         for b in chain[i + 2:]:
-            if g.intersection(a, b) != 0:
+            if (a, b) in meet:
                 raise NotMinusTwoChain("chain has a chord")
 
 
@@ -590,13 +593,19 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
     non-integral) and the edges among them; where two survivors meet at a
     new singular point, that intersection is not recorded.  Each contracted
     chain of k curves leaves one A_k point, listed in ``mark_ranks``.
+    Reads the graph into two maps once; sums each correction in ``int``
+    and reuses a survivor that meets no chain; stores through ``_store``.
     """
     if chains is None:
         chains = _minus2_components(g)
     else:
         chains = [list(c) for c in chains]
+    vertex = {v.id: v for v in g.vertices}
+    meet = {}  # (a, b) and (b, a) -> the multiplicity of the edge between a and b
+    for e in g.edges:
+        meet[e.a, e.b] = meet[e.b, e.a] = e.multiplicity
     for chain in chains:
-        _check_chain(g, chain)
+        _check_chain(chain, vertex, meet)
     removed = set()
     for chain in chains:
         if removed & set(chain):
@@ -606,27 +615,27 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
     where = {c: (n, i) for n, chain in enumerate(chains) for i, c in enumerate(chain)}
     # the nonzero entries of each survivor's intersection vector with each chain
     meets = {}
-    for e in g.edges:
-        for a, b in ((e.a, e.b), (e.b, e.a)):
-            if a not in where and b in where:
-                n, i = where[b]
-                meets.setdefault((a, n), []).append((i, e.multiplicity))
-    sq_gain = {v.id: Fraction(0) for v in g.vertices}
+    for (a, b), m in meet.items():
+        if a not in where and b in where:
+            n, i = where[b]
+            meets.setdefault((a, n), []).append((i, m))
+    gain = {}
+    den = lcm(*[len(chain) + 1 for chain in chains])
     for (vid, n), vec in meets.items():
         # rational self-intersection correction from the pull-back:
         # vec . M^{-1} . vec with M^{-1}_{ij} = (min(i,j)+1)(k-max(i,j))/(k+1)
-        # in 0-based chain positions, summed over the integer numerators
+        # in 0-based chain positions, summed as integers over den
         k = len(chains[n])
         num = sum(mi * mj * (min(i, j) + 1) * (k - max(i, j)) for i, mi in vec for j, mj in vec)
-        sq_gain[vid] += Fraction(num, k + 1)
-    vs = [
-        CurveVertex(v.id, v.self_int + sq_gain[v.id], v.coeff, v.nodes)
-        for v in g.vertices
-        if v.id not in removed
-    ]
+        gain[vid] = gain.get(vid, 0) + num * (den // (k + 1))
+    vs = [v for v in g.vertices if v.id not in removed]
+    for i, v in enumerate(vs):
+        if num := gain.get(v.id):
+            n, d = v.self_int.as_integer_ratio()
+            vs[i] = CurveVertex(v.id, Fraction(n * den + num * d, d * den), v.coeff, v.nodes)
     es = [e for e in g.edges if e.a not in removed and e.b not in removed]
-    mps = [p for p in g.marked_points if not (set(p.branches) & removed)]
-    singular = BoundaryGraph.build(vs, es, mps, g.picard_rank - len(removed))
+    mps = tuple(p for p in g.marked_points if removed.isdisjoint(p.branches))
+    singular = _store(vs, es, mps, g.picard_rank - len(removed))
     return ChainContraction(singular, sorted(len(chain) for chain in chains))
 
 

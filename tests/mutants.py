@@ -22,7 +22,8 @@ file, since its name does not start with ``test_``.
 
 Each row is (name, module path under ``src/``, snippet, replacement,
 node ids).  A change that deletes or rewrites the code of a row updates
-the row, or removes it and says why.
+the row, or removes it and says why.  ``EQUIVALENT`` lists the mutants
+known to survive because they change no output, with the reason.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ FC = "cypair/fiber_criteria.py"
 FX = "cypair/fixtures.py"
 BUILD = "tests/test_boundary_graph.py::TestBuild"
 CHECK = "tests/test_certificates.py::TestCheckWitness"
+CONTRACT = "tests/test_boundary_graph.py::TestContractChainsMatchesReference"
+BYTES = "tests/test_cli.py::TestGraphCommand::test_contract_chains_bytes"
 
 MUTANTS = [
     # -- one path into a BoundaryGraph
@@ -123,6 +126,59 @@ MUTANTS = [
         "tuple(edges)",
         ["tests/test_boundary_graph.py::test_store_sorts_as_the_keyed_sort"],
     ),
+    # -- chain contraction over two maps, in int
+    (
+        "the contraction drops the chord check",
+        BG,
+        "    for i, a in enumerate(chain):\n"
+        "        for b in chain[i + 2:]:\n"
+        "            if (a, b) in meet:\n"
+        '                raise NotMinusTwoChain("chain has a chord")\n',
+        "",
+        [f"{CONTRACT}::test_random_graphs"],
+    ),
+    (
+        "the contraction gives gaps in a chain a neighbour",
+        BG,
+        "        if meet.get((a, b)) != 1:",
+        "        if meet.get((a, b), 1) != 1:",
+        ["tests/test_boundary_graph.py::TestContractChains::test_chain_neighbours_meet_once"],
+    ),
+    (
+        "an unknown chain id raises NotMinusTwoChain",
+        BG,
+        '            raise NoSuchVertex(f"no vertex {vid!r}")',
+        '            raise NotMinusTwoChain(f"no vertex {vid!r}")',
+        ["tests/test_boundary_graph.py::TestContractChains::test_unknown_vertex_rejected"],
+    ),
+    (
+        "a survivor that meets two chains keeps only its last correction",
+        BG,
+        "gain[vid] = gain.get(vid, 0) + num * (den // (k + 1))",
+        "gain[vid] = num * (den // (k + 1))",
+        [f"{BYTES}[fig9.A1A2A5]"],
+    ),
+    (
+        "a survivor that meets no chain gets a correction",
+        BG,
+        "        if num := gain.get(v.id):",
+        "        if num := gain.get(v.id, 1):",
+        [f"{BYTES}[fig8.2A4.after]", f"{BYTES}[ex62.graph]"],
+    ),
+    (
+        "the contraction keeps marked points through contracted curves",
+        BG,
+        "mps = tuple(p for p in g.marked_points if removed.isdisjoint(p.branches))",
+        "mps = g.marked_points",
+        [f"{CONTRACT}::test_random_graphs"],
+    ),
+    (
+        "complexity returns an int on graphs with integral coefficients",
+        BG,
+        "    return Fraction(2 + g.picard_rank - sum(v.coeff for v in g.vertices))",
+        "    return 2 + g.picard_rank - sum(v.coeff for v in g.vertices)",
+        ["tests/test_boundary_graph.py::TestComplexity::test_int_sum_matches_the_fraction_sum"],
+    ),
     # -- fixtures built on first load
     (
         "every load builds its fixture anew",
@@ -177,6 +233,27 @@ MUTANTS = [
     ),
 ]
 
+
+# Known equivalent mutants: no test can kill them, because the program's
+# output does not change.  Each is (name, module path under ``src/``,
+# snippet, replacement, reason), kept so that nobody tries them again;
+# they are not run.
+EQUIVALENT = [
+    (
+        "make_fan refuses more than one cyclic descent instead of any count but one",
+        "cypair/lattice_fan.py",
+        "for i in range(n)) != 1:",
+        "for i in range(n)) > 1:",
+        "distinct rays have distinct angles, so a cyclic list of them has at least one descent",
+    ),
+    (
+        "the contraction rebuilds every survivor",
+        BG,
+        "        if num := gain.get(v.id):",
+        "        if (num := gain.get(v.id, 0)) is not None:",
+        "a zero correction rebuilds an equal vertex in the same stored form; only time is lost",
+    ),
+]
 
 def run_tests(src: Path, nodes: list[str]) -> int | None:
     """pytest's exit code for ``nodes`` run with ``-x`` against ``src``, or

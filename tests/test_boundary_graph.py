@@ -191,6 +191,31 @@ class TestComplexity:
         assert bg.complexity(fixtures.load_fixture("p2.triangle")) == 0
         assert bg.complexity(fixtures.load_fixture("ex64.pair")) == 2
 
+    def test_int_sum_matches_the_fraction_sum(self):
+        # the coefficients summed as they are stored, against the sum
+        # started at Fraction(0); both are Fractions, integral or not
+        def fraction_sum(g):
+            return Fr(2 + g.picard_rank) - sum((v.coeff for v in g.vertices), Fr(0))
+
+        graphs = [
+            fixtures.load_fixture(name)
+            for name in fixtures.fixture_names()
+            if fixtures.fixture_kind(name) == "graph"
+        ]
+        rng = random.Random(20261019)
+        for _ in range(100):
+            g = random_balanced_seed(rng)
+            for _ in range(rng.randint(0, 4)):
+                g, _ = random_crepant_blowup(rng, g)
+            graphs += [g, _random_chain_graph(rng)[0]]
+        integral = set()
+        for g in graphs:
+            got = bg.complexity(g)
+            assert type(got) is Fr
+            assert got == fraction_sum(g), g
+            integral.add(got.denominator == 1)
+        assert integral == {True, False}
+
 
 class TestCoregularity:
     def test_nodal_coeff_one(self):
@@ -261,6 +286,21 @@ class TestContractChains:
         res = bg.contract_minus2_chains(fixtures.load_fixture("fig9.A1A2A5"))
         assert res.mark_ranks == [1, 2, 5]
         assert res.singular.picard_rank == 1
+
+    def test_unknown_vertex_rejected(self):
+        g = build([("A", -2, 1), ("B", 1, 1)], [("A", "B")], rho=2)
+        for chains in ([["A", "X"]], [["X"]], [["A"], ["X"]]):
+            with pytest.raises(bg.NoSuchVertex, match="^no vertex 'X'$"):
+                bg.contract_minus2_chains(g, chains)
+            _same_outcome(bg.contract_minus2_chains, ref.contract_minus2_chains, g, chains)
+
+    def test_chain_neighbours_meet_once(self):
+        # A and C both meet B but not each other; A and D meet twice
+        g = build([(c, -2, 1) for c in "ABCD"], [("A", "B"), ("B", "C"), ("A", "D", 2)], rho=4)
+        for chains in ([["A", "C"]], [["D", "A"]]):
+            with pytest.raises(bg.NotMinusTwoChain, match="are not chain neighbours$"):
+                bg.contract_minus2_chains(g, chains)
+            _same_outcome(bg.contract_minus2_chains, ref.contract_minus2_chains, g, chains)
 
     def test_minus_one_in_chain_rejected(self):
         g = build([("A", -2, 1), ("B", -1, 1)], [("A", "B")], rho=3)

@@ -36,6 +36,12 @@ def _graph(**fields):
     return json.dumps({**spec, **fields})
 
 
+# exit code and stdout of ``graph fixture:<name> --op contract-chains`` for
+# every graph fixture, as ``run`` printed them; a deliberate change of
+# output re-records the file
+CONTRACTIONS = json.loads((Path(__file__).parent / "golden" / "contract_chains.json").read_text())
+
+
 def _k(k):
     return json.dumps({"singularities": "A1", "boundary": {"kind": "multi_component", "k": k}})
 
@@ -304,6 +310,15 @@ class TestGraphCommand:
     def test_contract_chains(self, capsys):
         data = invoke_json(capsys, "graph", "fixture:fig9.A1A2A5", "--op", "contract-chains")
         assert data["marks"] == ["A1", "A2", "A5"]
+
+    def test_every_graph_fixture_has_recorded_contraction_bytes(self):
+        graphs = [n for n in fixtures.fixture_names() if fixtures.fixture_kind(n) == "graph"]
+        assert sorted(CONTRACTIONS) == graphs
+
+    @pytest.mark.parametrize("name", sorted(CONTRACTIONS))
+    def test_contract_chains_bytes(self, capsys, name):
+        code, out, err = invoke(capsys, "graph", f"fixture:{name}", "--op", "contract-chains")
+        assert ({"exit": code, "stdout": out}, err) == (CONTRACTIONS[name], "")
 
     def test_witness(self, capsys):
         data = invoke_json(capsys, "graph", "fixture:ex62.graph", "--op", "witness")

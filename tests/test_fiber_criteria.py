@@ -536,6 +536,62 @@ class TestTwoBlowupsSuffice:
             assert repr(fc.prop51_witness_search(g, depth, cap)) == want, (g, depth, cap)
 
 
+def _gram(g: bg.BoundaryGraph, ids) -> list[list]:
+    """The intersection matrix of the curves ``ids`` of ``g``, in that order."""
+    return [[g.vertex(a).self_int if a == b else g.intersection(a, b) for b in ids] for a in ids]
+
+
+def _corner_blowups(g: bg.BoundaryGraph) -> list[bg.BoundaryGraph]:
+    """``g`` blown up at each of its corners: every edge and every node."""
+    ups = [bg.blowup_corner(g, edge=(e.a, e.b)) for e in g.edges]
+    return ups + [bg.blowup_corner(g, node=v.id) for v in g.vertices if v.nodes]
+
+
+class TestNegativeDefiniteRoots:
+    """A corner blow-up changes the Gram matrix G of the original curves to
+    G - v v^T, with v the multiplicities of the originals at the corner.  So
+    a negative-definite G stays negative definite on every descendant, no
+    divisor on the originals ever has D^2 >= 0, and the search finds no
+    witness at any depth or cap: a search may answer None at such a root."""
+
+    def _check(self, graphs, caps=(1, 2, 3)):
+        roots = 0
+        for g in graphs:
+            ids = g.ids()
+            if not _negative_definite_by_fractions(_gram(g, ids)):
+                continue
+            roots += 1
+            layer = [g]
+            for _ in range(2):
+                layer = [h for parent in layer for h in _corner_blowups(parent)]
+                for h in layer:
+                    assert _negative_definite_by_fractions(_gram(h, ids)), (g, h)
+            for cap in caps:
+                assert not reference_witness.has_witness(g, cap), (g, cap)
+                for depth in range(5):
+                    assert fc.prop51_witness_search(g, depth, cap) is None, (g, depth, cap)
+        return roots
+
+    def test_random_fibers(self):
+        rng = random.Random(20261020)
+        assert self._check(random_witness_fiber(rng) for _ in range(200)) >= 40
+
+    def test_nodal_curves_and_curve_pairs(self):
+        graphs = [bg.BoundaryGraph.build([("B", s, 1, 1)], rho=1) for s in range(-4, 12)]
+        for a, b in product(range(-4, 4), repeat=2):
+            graphs.append(bg.BoundaryGraph.build(
+                [("C1", a, 1), ("C2", b, 1)], [("C1", "C2", 2)], rho=2
+            ))
+            graphs.append(bg.BoundaryGraph.build([("B", a, 1, 1), ("C", b, 1, 1)], rho=2))
+        # nodal curves of square -4..-1, the 16 disjoint pairs of them, and
+        # the 8 pairs meeting twice with a, b < 0 and a * b > 4
+        assert self._check(graphs) == 4 + 16 + 8
+
+    def test_cycles(self):
+        graphs = [_cycle(sqs) for k in (3, 4) for sqs in _bracelets(range(-4, 2), k)]
+        assert self._check(graphs) == 40
+
+
 def _criterion_outcome(check, f):
     """The verdict, or the class and message of the error raised."""
     try:

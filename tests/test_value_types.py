@@ -20,7 +20,9 @@ from cypair import fiber_criteria as fc
 from cypair import gdp_atlas as atlas
 from cypair import lattice_fan as lf
 
-NODAL = bg.BoundaryGraph.build([("B", 9, 1, 1)])
+# the plain constructor, not ``build``: the module collects even when
+# ``build`` fails, so that a mutant of ``build`` can name these tests
+NODAL = bg.BoundaryGraph((bg.CurveVertex("B", 9, 1, 1),), ())
 NODAL_REPR = (
     "BoundaryGraph(vertices=(CurveVertex(id='B', self_int=9, coeff=1, nodes=1),), "
     "edges=(), marked_points=(), picard_rank=1)"
