@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .rationals import as_rational, rational_to_json
+from .rationals import as_rational, rational_to_json, typed
 
 
 class GraphError(Exception):
@@ -153,7 +153,7 @@ class BoundaryGraph(
             if not 3 <= len(v) <= 4:
                 raise _wrong_length("vertex", v[:1], len(v), 3)
             vid, sq, coeff, *rest = v
-            nodes = _count(rest[0] if rest else 0, "nodes")
+            nodes = typed(rest[0] if rest else 0, int, "nodes", InvalidGraph)
             vs.append(CurveVertex(str(vid), as_rational(sq), as_rational(coeff), nodes))
         known = {v.id for v in vs}
         if len(known) != len(vs):
@@ -163,7 +163,8 @@ class BoundaryGraph(
             if not 2 <= len(e) <= 3:
                 raise _wrong_length("edge", e[:2], len(e), 2)
             a, b, *rest = e
-            e = Edge(str(a), str(b), _count(rest[0] if rest else 1, "multiplicity"))
+            m = typed(rest[0] if rest else 1, int, "multiplicity", InvalidGraph)
+            e = Edge(str(a), str(b), m)
             if e.a not in known or e.b not in known:
                 raise InvalidGraph(f"edge {e.a}-{e.b} references a missing vertex")
             es.append(e)
@@ -183,7 +184,7 @@ class BoundaryGraph(
                 raise InvalidGraph(
                     f"marked points through {a!r} and {b!r} outnumber their intersection points"
                 )
-        return _store(vs, es, tuple(sorted(mps)), _count(rho, "rho"))
+        return _store(vs, es, tuple(sorted(mps)), typed(rho, int, "rho", InvalidGraph))
 
     # -- lookups ---------------------------------------------------------
 
@@ -343,13 +344,6 @@ def _fresh_id(g: BoundaryGraph) -> str:
     while f"E{k}" in used:
         k += 1
     return f"E{k}"
-
-
-def _count(value, field: str) -> int:
-    """``value`` if it is an ``int`` (not a ``bool``): counts are never truncated."""
-    if type(value) is not int:
-        raise InvalidGraph(f"{field} must be an integer, got {value!r}")
-    return value
 
 
 def _wrong_length(kind: str, name: tuple, n: int, least: int) -> InvalidGraph:
@@ -546,14 +540,16 @@ def _minus2_components(g: BoundaryGraph) -> list[list[str]]:
                     comp.add(y)
                     stack.append(y)
         seen |= comp
-        ends = sorted(x for x in comp if len(adj[x] & comp) <= 1)
+        ends = [x for x in comp if len(adj[x]) <= 1]
         if not ends:
             raise NotMinusTwoChain(f"(-2)-curves {sorted(comp)} form a cycle, not a chain")
-        chain = [ends[0]]
+        # each curve passed meets only its two chain neighbours: none but prev is behind
+        chain, prev = [min(ends)], None
         while len(chain) < len(comp):
-            nxt = [y for y in adj[chain[-1]] if y in comp and y not in chain]
+            nxt = [y for y in adj[chain[-1]] if y != prev]
             if len(nxt) != 1:
                 raise NotMinusTwoChain(f"(-2)-curves {sorted(comp)} do not form a simple path")
+            prev = chain[-1]
             chain.append(nxt[0])
         chains.append(chain)
     return chains
@@ -702,39 +698,24 @@ def graph_to_json(g: BoundaryGraph) -> dict:
     return out
 
 
-_JSON_KINDS = {int: "an integer", str: "a string", list: "an array"}
-
-
-def _json_typed(value, kind: type, field: str):
-    """``value`` if its JSON type is ``kind`` (a boolean is not an integer)."""
-    if type(value) is not kind:
-        raise InvalidGraph(
-            f"malformed graph JSON: {field} must be {_JSON_KINDS[kind]}, got {value!r}"
-        )
-    return value
-
-
 def graph_from_json(data: dict) -> BoundaryGraph:
     if not isinstance(data, dict) or "vertices" not in data:
         raise InvalidGraph("graph JSON needs a 'vertices' array")
     try:
         vs = [
-            (_json_typed(v["id"], str, "id"), as_rational(v["sq"]),
-             as_rational(v.get("coeff", 1)), _json_typed(v.get("nodes", 0), int, "nodes"))
+            (typed(v["id"], str, "id"), as_rational(v["sq"]),
+             as_rational(v.get("coeff", 1)), typed(v.get("nodes", 0), int, "nodes"))
             for v in data["vertices"]
         ]
         es = [
-            (_json_typed(e["a"], str, "a"), _json_typed(e["b"], str, "b"),
-             _json_typed(e.get("m", 1), int, "m"))
+            (typed(e["a"], str, "a"), typed(e["b"], str, "b"), typed(e.get("m", 1), int, "m"))
             for e in data.get("edges", ())
         ]
         mps = [
-            tuple(
-                _json_typed(b, str, "branch") for b in _json_typed(p["branches"], list, "branches")
-            )
+            tuple(typed(b, str, "branch") for b in typed(p["branches"], list, "branches"))
             for p in data.get("marked_points", ())
         ]
-        rho = _json_typed(data.get("rho", 1), int, "rho")
+        rho = typed(data.get("rho", 1), int, "rho")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed graph JSON: {exc}") from exc
     return BoundaryGraph.build(vs, es, mps, rho)

@@ -22,7 +22,7 @@ from . import fiber_criteria as fc
 from . import fixtures
 from . import gdp_atlas as atlas
 from . import lattice_fan as lf
-from .rationals import rational_to_json
+from .rationals import rational_to_json, typed
 
 
 class CliInputError(Exception):
@@ -153,16 +153,13 @@ def _boundary_from_json(data) -> object:
         k, ranks = data.get("k", 2), data.get("ranks")
         if isinstance(k, (bool, float)):
             raise CliInputError(f"boundary k must be an integer, got {k!r}")
-        if ranks is not None and not isinstance(ranks, list):
-            raise CliInputError(f"boundary ranks must be an array, got {ranks!r}")
-        return atlas.MultiComponent(int(k), None if ranks is None else tuple(ranks))
+        if ranks is not None:
+            ranks = tuple(typed(ranks, list, "boundary ranks", CliInputError))
+        return atlas.MultiComponent(int(k), ranks)
     if kind == "nodal_smooth_locus":
         return atlas.NodalSmoothLocus()
     if kind == "nodal_at_A":
-        n = data["n"]
-        if type(n) is not int:
-            raise CliInputError(f"boundary n must be an integer, got {n!r}")
-        return atlas.NodalAtA(n)
+        return atlas.NodalAtA(typed(data["n"], int, "boundary n", CliInputError))
     raise CliInputError(f"unknown boundary kind {kind!r}")
 
 
@@ -204,8 +201,7 @@ def _apply_script(g: bgm.BoundaryGraph, script) -> bgm.BoundaryGraph:
     if not isinstance(script, list):
         raise CliInputError("--apply takes a JSON array of steps")
     for step in script:
-        if not isinstance(step, dict):
-            raise CliInputError(f"script step must be an object, got {step!r}")
+        typed(step, dict, "script step", CliInputError)
         op = step.get("op")
         if op == "blowup_corner" and "edge" in step:
             edge = step["edge"]

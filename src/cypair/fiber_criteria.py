@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import boundary_graph as bg
-from .rationals import as_rational, rational_to_json
+from .rationals import as_rational, rational_to_json, typed
 
 
 class FiberError(Exception):
@@ -46,8 +46,7 @@ SMOOTH_POINT = "smooth"
 
 def node_location(text: str) -> str:
     """Validate a node location: "smooth" or "A<n>"."""
-    if not isinstance(text, str):
-        raise FiberError(f"node location must be a string, got {text!r}")
+    typed(text, str, "node location", FiberError)
     if text == SMOOTH_POINT:
         return text
     try:
@@ -56,12 +55,6 @@ def node_location(text: str) -> str:
     except ValueError:
         pass  # a digit string int() refuses: past the digit limit, or not decimal
     raise FiberError(f"bad node location {text!r}; expected 'smooth' or 'A<n>'")
-
-
-def _flag(value, field: str, source: str = "fiber spec") -> bool:
-    if not isinstance(value, bool):
-        raise FiberError(f"{source}: {field} must be true or false, got {value!r}")
-    return value
 
 
 class FiberComponent(
@@ -114,18 +107,19 @@ class FiberSpec(
         self-intersections and the volume are read with ``as_rational``;
         the rank must be an ``int`` and the flags ``bool``s, which are not
         coerced."""
-        if type(rank) is not int:
-            raise FiberError(f"fiber spec: rank must be an integer, got {rank!r}")
+        typed(rank, int, "fiber spec: rank", FiberError)
         comps = tuple(
-            FiberComponent(as_rational(sq), _flag(irr, "irreducible"))
+            FiberComponent(
+                as_rational(sq), typed(irr, bool, "fiber spec: irreducible", FiberError)
+            )
             for sq, irr in components
         )
         return FiberSpec(
             comps,
-            _flag(has_node, "has_node"),
+            typed(has_node, bool, "fiber spec: has_node", FiberError),
             as_rational(volume),
             rank,
-            _flag(smooth_locus, "smooth_locus"),
+            typed(smooth_locus, bool, "fiber spec: smooth_locus", FiberError),
             node_at,
         )
 
@@ -507,21 +501,18 @@ def fiber_to_json(f: FiberSpec) -> dict:
 def fiber_from_json(data: dict) -> FiberSpec:
     if not isinstance(data, dict) or "rank" not in data:
         raise FiberError("fiber JSON needs a 'rank' field")
-    if type(data["rank"]) is not int:
-        raise FiberError(f"malformed fiber JSON: rank must be an integer, got {data['rank']!r}")
     try:
+        typed(data["rank"], int, "rank")  # before the node: a bad rank decides the error
         node = data.get("node", {})
         return FiberSpec.build(
             components=[
-                (c["sq"], _flag(c.get("irreducible", True), "irreducible", "malformed fiber JSON"))
+                (c["sq"], typed(c.get("irreducible", True), bool, "irreducible"))
                 for c in data["components"]
             ],
-            has_node=_flag(node.get("present", False), "node.present", "malformed fiber JSON"),
+            has_node=typed(node.get("present", False), bool, "node.present"),
             volume=data["volume"],
             rank=data["rank"],
-            smooth_locus=_flag(
-                data.get("smooth_locus", True), "smooth_locus", "malformed fiber JSON"
-            ),
+            smooth_locus=typed(data.get("smooth_locus", True), bool, "smooth_locus"),
             node_at=node_location(node.get("at", SMOOTH_POINT)),
         )
     except (KeyError, TypeError, ValueError) as exc:

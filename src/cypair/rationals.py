@@ -1,4 +1,4 @@
-"""Exact rational I/O helpers.
+"""Exact rational I/O helpers, and the one wire-type rule.
 
 All arithmetic in this package is exact: quantities are ``int`` or
 ``fractions.Fraction``, never floats.  On the wire, rationals are JSON
@@ -11,6 +11,14 @@ and the value types that store rationals (``CurveVertex``,
 equal ``Fraction`` compare and hash equal, and ``rational_to_json``
 prints them alike; only their reprs differ (``-2`` against
 ``Fraction(-2, 1)``).
+
+Every other typed field of a spec obeys one rule, ``typed``: a JSON
+integer is an ``int`` and not a ``bool``, a flag is a ``bool``, and
+nothing is coerced.  It leaves out ``gdp_atlas.parse_singularities``, as
+the decision layer imports no other module; the boundary's ``k`` and the
+fan rays, whose ``int()`` errors the ``perfbench`` digests record; and
+checks with messages of another shape (an ``--apply`` script that is not
+an array, the ``blowup_corner`` edge, the witness's multiplicities).
 """
 
 from __future__ import annotations
@@ -35,6 +43,17 @@ def as_rational(value) -> int | Fraction:
     else:
         raise ValueError(f"not a rational: {value!r}")
     return q.numerator if q.denominator == 1 else q
+
+
+_PHRASE = {int: "an integer", str: "a string", list: "an array", dict: "an object",
+           bool: "true or false"}
+
+
+def typed(value, kind: type, label: str, error: type[Exception] = TypeError):
+    """``value`` if its type is exactly ``kind``, so a ``bool`` is no ``int``; else ``error``."""
+    if type(value) is not kind:
+        raise error(f"{label} must be {_PHRASE[kind]}, got {value!r}")
+    return value
 
 
 def rational_to_json(q: int | Fraction):

@@ -44,12 +44,31 @@ TIMEOUT_S = 120
 BG = "cypair/boundary_graph.py"
 FC = "cypair/fiber_criteria.py"
 FX = "cypair/fixtures.py"
+RAT = "cypair/rationals.py"
 BUILD = "tests/test_boundary_graph.py::TestBuild"
 CHECK = "tests/test_certificates.py::TestCheckWitness"
 CONTRACT = "tests/test_boundary_graph.py::TestContractChainsMatchesReference"
 BYTES = "tests/test_cli.py::TestGraphCommand::test_contract_chains_bytes"
+SITES = "tests/test_wire_types.py::test_each_site_refuses_with_its_class_and_message"
+SHAPES = f"{CONTRACT}::test_long_branched_and_closed_chains"
+RANK_FIRST = "tests/test_wire_types.py::test_a_bad_fiber_rank_is_reported_before_the_node_is_read"
 
 MUTANTS = [
+    # -- one wire-type rule
+    (
+        "the wire-type rule lets a bool pass as an integer",
+        RAT,
+        "    if type(value) is not kind:",
+        "    if not isinstance(value, kind):",
+        [SITES],
+    ),
+    (
+        "the fiber JSON reader drops its rank check",
+        FC,
+        '        typed(data["rank"], int, "rank")',
+        "        pass",
+        [SITES, RANK_FIRST],
+    ),
     # -- one path into a BoundaryGraph
     (
         "Edge keeps its endpoints in the order given",
@@ -127,6 +146,20 @@ MUTANTS = [
         ["tests/test_boundary_graph.py::test_store_sorts_as_the_keyed_sort"],
     ),
     # -- chain contraction over two maps, in int
+    (
+        "the chain walk may step back to the previous curve",
+        BG,
+        "            nxt = [y for y in adj[chain[-1]] if y != prev]",
+        "            nxt = list(adj[chain[-1]])",
+        [SHAPES],
+    ),
+    (
+        "the chain walk starts from the largest end",
+        BG,
+        "        chain, prev = [min(ends)], None",
+        "        chain, prev = [max(ends)], None",
+        [SHAPES],
+    ),
     (
         "the contraction drops the chord check",
         BG,

@@ -12,7 +12,9 @@ values, or raise the same error with the same message.
 stood before the integer pull-back: a k-by-k loop of ``Fraction``
 products per survivor and chain, ``intersection`` lookups for every
 entry of the intersection vector, and a chord check through
-``chain.index``.
+``chain.index``.  ``_minus2_components`` is the chain walk as it stood
+before it looked back one vertex only: each step scans the whole chain
+so far.
 """
 
 from __future__ import annotations
@@ -167,6 +169,43 @@ def is_crepant_blowdown(g: bg.BoundaryGraph, vertex: str) -> bool:
     return v.coeff == expected
 
 
+def _minus2_components(g: bg.BoundaryGraph) -> list[list[str]]:
+    """Maximal chains of (-2)-vertices, each ordered along the path."""
+    twos = {v.id for v in g.vertices if v.self_int == -2}
+    adj = {v: set() for v in twos}
+    for e in g.edges:
+        if e.a in twos and e.b in twos:
+            adj[e.a].add(e.b)
+            adj[e.b].add(e.a)
+    chains = []
+    seen = set()
+    for start in sorted(twos):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        ends = sorted(x for x in comp if len(adj[x] & comp) <= 1)
+        if not ends:
+            raise bg.NotMinusTwoChain(f"(-2)-curves {sorted(comp)} form a cycle, not a chain")
+        chain = [ends[0]]
+        while len(chain) < len(comp):
+            nxt = [y for y in adj[chain[-1]] if y in comp and y not in chain]
+            if len(nxt) != 1:
+                raise bg.NotMinusTwoChain(
+                    f"(-2)-curves {sorted(comp)} do not form a simple path"
+                )
+            chain.append(nxt[0])
+        chains.append(chain)
+    return chains
+
+
 def _check_chain(g: bg.BoundaryGraph, chain: list[str]) -> None:
     if len(set(chain)) != len(chain) or not chain:
         raise bg.NotMinusTwoChain("chain must list distinct vertices")
@@ -200,7 +239,7 @@ def contract_minus2_chains(g: bg.BoundaryGraph, chains=None) -> bg.ChainContract
     chain of k curves leaves one A_k point, listed in ``mark_ranks``.
     """
     if chains is None:
-        chains = bg._minus2_components(g)
+        chains = _minus2_components(g)
     else:
         chains = [list(c) for c in chains]
     for chain in chains:

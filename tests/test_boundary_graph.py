@@ -945,3 +945,47 @@ class TestContractChainsMatchesReference:
                        "Picard rank must be positive"):
             assert any(phrase in message for message in refusals), phrase
         assert marked
+
+    @pytest.mark.parametrize("shape, outcome", [
+        ("chain of 60", [60]),
+        ("chain of 60, two curves with a node", "carries nodes"),
+        ("chain of 60, two links meeting twice", "are not chain neighbours"),
+        ("Y-branch", "do not form a simple path"),
+        ("cycle with a tail", "do not form a simple path"),
+        ("cycle", "form a cycle, not a chain"),
+    ])
+    def test_long_branched_and_closed_chains(self, shape, outcome):
+        """The chain walk on each shape, with random ids so that either end
+        of a chain may come first, and two survivors meeting random curves.
+        A refusal names the first bad curve or link from the chain's first
+        end, so two of them pin which end that is."""
+        rng = random.Random(f"{shape}-20261020")
+        for _ in range(20):
+            ids = iter(rng.sample(range(10**6), 200))
+
+            def arm(n):
+                return [f"C{next(ids)}" for _ in range(n)]
+
+            if shape.startswith("chain of 60"):
+                paths = [arm(60)]
+            elif shape == "Y-branch":
+                center = arm(1)
+                paths = [center + arm(rng.randint(1, 5)) for _ in range(3)]
+            else:
+                cycle = arm(rng.randint(3, 6))
+                paths = [cycle + cycle[:1]] + ([cycle[:1] + arm(rng.randint(1, 5))]
+                                               if shape == "cycle with a tail" else [])
+            twos = sorted({c for path in paths for c in path})
+            links = sorted({tuple(sorted(pair)) for path in paths for pair in zip(path, path[1:])})
+            nodal = rng.sample(twos, 2) if "node" in shape else []
+            double = rng.sample(links, 2) if "twice" in shape else []
+            vs = [(c, -2, 1, int(c in nodal)) for c in twos]
+            vs += [("S", -1, Fr(1, 2)), ("T", 3, 1)]
+            es = [(a, b, 1 + ((a, b) in double)) for a, b in links]
+            es += [(s, c, rng.randint(1, 3)) for s in "ST" for c in rng.sample(twos, 3)]
+            g = build(vs, es, rho=len(vs) + 1)
+            out = _same_outcome(bg.contract_minus2_chains, ref.contract_minus2_chains, g)
+            if isinstance(outcome, str):
+                assert isinstance(out, bg.NotMinusTwoChain) and outcome in str(out)
+            else:
+                assert out.mark_ranks == outcome
