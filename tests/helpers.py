@@ -181,3 +181,57 @@ def random_witness_fiber(rng: random.Random) -> bg.BoundaryGraph:
         else:
             g = bg.blowup_corner(g, node=target)
     return g
+
+
+def random_coefficient_one_graph(rng: random.Random) -> bg.BoundaryGraph:
+    """A coefficient-one graph of at most seven curves, balanced for about
+    half the draws.
+
+    One to three components, each a nodal curve, two curves meeting twice
+    or a cycle of 3 or 4 curves, which balance whatever their
+    self-intersections (drawn from ``WITNESS_SQS``, fractions included).
+    Half the graphs are then changed at one place: a node count redrawn
+    in 0-2, a multiplicity redrawn in 1-3, an edge dropped, or an edge
+    moved from one end to another curve, which keeps the sum of the
+    residuals.  Half the triangles whose edges all remain get a marked
+    point through their three curves.
+    """
+    vs, es, triangles = {}, {}, []
+    for c in "ABC"[: rng.randint(1, 3)]:
+        if len(vs) >= 4:
+            break
+        shape = rng.choice(("nodal", "pair", "cycle"))
+        k = {"nodal": 1, "pair": 2, "cycle": rng.randint(3, 4)}[shape]
+        ids = [f"{c}{i}" for i in range(k)]
+        for vid in ids:
+            vs[vid] = [rng.choice(WITNESS_SQS), int(shape == "nodal")]
+        if shape == "pair":
+            es[tuple(ids)] = 2
+        elif shape == "cycle":
+            es.update({tuple(sorted((a, b))): 1 for a, b in zip(ids, ids[1:] + ids[:1])})
+            if k == 3:
+                triangles.append(ids)
+    change = rng.choice(("none",) * 4 + ("nodes", "m", "drop", "move"))
+    if change == "nodes":
+        vs[rng.choice(list(vs))][1] = rng.randint(0, 2)
+    elif change in ("m", "drop", "move") and es:
+        edge = rng.choice(sorted(es))
+        m = es.pop(edge)
+        if change == "m":
+            es[edge] = rng.randint(1, 3)
+        elif change == "move":
+            # a lone pair has no other curve, and keeps its edge
+            others = [c for c in vs if c not in edge] or [edge[1]]
+            moved = tuple(sorted((edge[0], rng.choice(others))))
+            es[moved] = es.get(moved, 0) + m
+    points = [
+        t for t in triangles
+        if all(pair in es for pair in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])))
+        and rng.randrange(2)
+    ]
+    return bg.BoundaryGraph.build(
+        [(vid, sq, 1, nodes) for vid, (sq, nodes) in vs.items()],
+        [(a, b, m) for (a, b), m in es.items()],
+        points,
+        rho=len(vs) + 1,
+    )

@@ -51,6 +51,8 @@ CONTRACT = "tests/test_boundary_graph.py::TestContractChainsMatchesReference"
 BYTES = "tests/test_cli.py::TestGraphCommand::test_contract_chains_bytes"
 SITES = "tests/test_wire_types.py::test_each_site_refuses_with_its_class_and_message"
 SHAPES = f"{CONTRACT}::test_long_branched_and_closed_chains"
+SEARCH = "tests/test_fiber_criteria.py::TestWitnessSearch"
+BALANCE = "tests/test_fiber_criteria.py::TestBalanceCheckMatchesIsCalabiYau"
 RANK_FIRST = "tests/test_wire_types.py::test_a_bad_fiber_rank_is_reported_before_the_node_is_read"
 
 MUTANTS = [
@@ -241,6 +243,45 @@ MUTANTS = [
         "            g = bg.blowup_corner(g, edge=step[1:])",
         "            g = bg.blowup_corner(g, edge=(g.edges[0].a, g.edges[0].b))",
         [f"{CHECK}::test_witnesses_off_the_first_corner_pass"],
+    ),
+    # -- fiber refusals
+    (
+        "FiberSpec accepts a relative Picard rank other than 1 or 2",
+        FC,
+        "        if rank not in (1, 2):\n"
+        '            raise FiberError("relative Picard rank must be 1 or 2")\n',
+        "",
+        ["tests/test_fiber_criteria.py::TestFiberSpec::test_rank_must_be_one_or_two"],
+    ),
+    (
+        "the weighted corner accepts a weight below one",
+        FC,
+        "    if alpha < 1 or beta < 1:\n"
+        '        raise FiberError("weights must be positive integers")\n',
+        "",
+        ["tests/test_fiber_criteria.py::TestWeightedCorner::test_weights_must_be_positive"],
+    ),
+    # -- the search's balance check on node counts and multiplicities
+    (
+        "the balance check tests the sum of the totals, not each one",
+        FC,
+        "    if any(total.values()):",
+        "    if sum(total.values()):",
+        [f"{SEARCH}::test_requires_balance"],
+    ),
+    (
+        "the balance check counts an edge at one end only",
+        FC,
+        "        total[e.b] += e.multiplicity\n",
+        "",
+        [f"{BALANCE}::test_random_coefficient_one_graphs"],
+    ),
+    (
+        "the balance check drops the node term",
+        FC,
+        "    total = {v.id: 2 * v.nodes - 2 for v in fiber.vertices}",
+        "    total = {v.id: -2 for v in fiber.vertices}",
+        [f"{BALANCE}::test_random_coefficient_one_graphs"],
     ),
     # -- the witness search, caught by the checker
     (

@@ -4,13 +4,16 @@ from itertools import product
 
 import pytest
 import reference_witness
-from helpers import random_witness_fiber
+from helpers import random_coefficient_one_graph, random_witness_fiber
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cypair import boundary_graph as bg
 from cypair import fiber_criteria as fc
 from cypair import fixtures
+
+
+BALANCE = "witness search needs a Calabi-Yau balanced graph"
 
 
 def spec(components, node=True, volume=3, rank=2, smooth=True, at="smooth"):
@@ -25,6 +28,13 @@ class TestFiberSpec:
             spec([(1, True), (0, True)], rank=1)
         with pytest.raises(fc.FiberError):
             spec([(1, True)], rank=1, volume=0)
+
+    def test_rank_must_be_one_or_two(self):
+        with pytest.raises(Exception) as got:
+            fc.FiberSpec((fc.FiberComponent(4),), True, 4, 3)
+        assert (type(got.value), str(got.value)) == (
+            fc.FiberError, "relative Picard rank must be 1 or 2"
+        )
 
     def test_node_location_validation(self):
         with pytest.raises(fc.FiberError):
@@ -148,6 +158,13 @@ class TestWeightedCorner:
         assert (d.c1_tilde_sq, d.c2_tilde_sq) == (Fr(1, 2), Fr(-3))
         assert (d.c1_dot_e, d.c2_dot_e) == (Fr(1, 2), Fr(1))
 
+    def test_weights_must_be_positive(self):
+        with pytest.raises(Exception) as got:
+            fc.weighted_corner_numbers(-1, -1, 0, 1)
+        assert (type(got.value), str(got.value)) == (
+            fc.FiberError, "weights must be positive integers"
+        )
+
     def test_degenerates_to_smooth_corner(self):
         for c1 in (-3, 0, 2):
             for c2 in (-1, 0):
@@ -259,9 +276,23 @@ class TestWitnessSearch:
             fc.prop51_witness_search(fixtures.load_fixture("ex64.pair"))
 
     def test_requires_balance(self):
-        g = bg.BoundaryGraph.build([("B", 9, 1, 0)], rho=1)
-        with pytest.raises(fc.PreconditionFailed):
-            fc.prop51_witness_search(g)
+        # a lone smooth curve; a nodal A meeting B once, whose residuals 1
+        # and -1 sum to zero; and the marked triangle of
+        # test_requires_no_marked_points with a node on A, which is refused
+        # for its balance before its marked point
+        for g in (
+            bg.BoundaryGraph.build([("B", 9, 1, 0)], rho=1),
+            bg.BoundaryGraph.build([("A", 0, 1, 1), ("B", 0, 1)], [("A", "B")], rho=2),
+            bg.BoundaryGraph.build(
+                [("A", 0, 1, 1), ("B", 0, 1), ("C", 0, 1)],
+                [("A", "B"), ("B", "C"), ("A", "C")],
+                [("A", "B", "C")],
+                rho=3,
+            ),
+        ):
+            assert not bg.is_calabi_yau(g)
+            with pytest.raises(fc.PreconditionFailed, match=f"^{BALANCE}$"):
+                fc.prop51_witness_search(g)
 
     def test_deterministic(self):
         a = fc.prop51_witness_search(fixtures.load_fixture("p2.nodal_cubic"))
@@ -278,6 +309,49 @@ def _search_outcome(search, g, depth, cap):
     return ("returned", w, None if w is None else list(w.divisor))
 
 
+def _small_search(rng: random.Random, g: bg.BoundaryGraph) -> tuple[int, int]:
+    """A random depth in 0..2 and cap in 1..6, the cap lowered until about
+    3000 vectors are scanned (vectors per graph times a bound on the
+    frontier), so that the oracle's brute-force Fraction scan stays short."""
+    depth, cap = rng.randint(0, 2), rng.randint(1, 6)
+    while cap > 1 and (cap + 1) ** len(g.vertices) * (len(g.edges) + 2) ** depth > 3000:
+        cap -= 1
+    return depth, cap
+
+
+class TestBalanceCheckMatchesIsCalabiYau:
+    """The search checks balance in one pass over node counts and
+    multiplicities; ``is_calabi_yau`` and the oracle's search, which calls
+    it, are the reference."""
+
+    def test_random_coefficient_one_graphs(self):
+        rng = random.Random(20261020)
+        kinds = set()
+        for _ in range(400):
+            g = random_coefficient_one_graph(rng)
+            depth, cap = _small_search(rng, g)
+            got = _search_outcome(fc.prop51_witness_search, g, depth, cap)
+            balanced = bg.is_calabi_yau(g)
+            refused = got == ("raised", fc.PreconditionFailed, BALANCE)
+            assert refused == (not balanced), g
+            if balanced and g.marked_points:
+                # the oracle predates the marked-point check
+                assert got == ("raised", fc.PreconditionFailed,
+                               "witness search needs a log canonical graph: no marked points")
+            else:
+                want = _search_outcome(reference_witness.prop51_witness_search, g, depth, cap)
+                assert got == want, (g, depth, cap)
+            # (balanced, marked, residuals sum to zero), and whether a witness is found
+            residual_sum = sum(r for _, r in bg.validate_cy(g))
+            kinds.add((balanced, bool(g.marked_points), residual_sum == 0))
+            if got[0] == "returned":
+                kinds.add(got[1] is not None)
+        assert kinds == {
+            (True, False, True), (True, True, True), (False, False, True),
+            (False, False, False), (False, True, True), (False, True, False), True, False,
+        }
+
+
 class TestPrunedSearchMatchesReference:
     def test_every_graph_fixture(self):
         for name in fixtures.fixture_names():
@@ -291,16 +365,11 @@ class TestPrunedSearchMatchesReference:
                     ), (name, depth, cap)
 
     def test_random_fibers(self):
-        # the cap is lowered until about 3000 vectors are scanned (vectors per
-        # graph times a bound on the frontier) so that the oracle's
-        # brute-force Fraction scan stays short on 4- to 6-curve graphs
         rng = random.Random(20241218)
         kinds = set()
         for _ in range(120):
             g = random_witness_fiber(rng)
-            depth, cap = rng.randint(0, 2), rng.randint(1, 6)
-            while cap > 1 and (cap + 1) ** len(g.vertices) * (len(g.edges) + 2) ** depth > 3000:
-                cap -= 1
+            depth, cap = _small_search(rng, g)
             got = _search_outcome(fc.prop51_witness_search, g, depth, cap)
             want = _search_outcome(reference_witness.prop51_witness_search, g, depth, cap)
             assert got == want, (g, depth, cap)
