@@ -473,19 +473,14 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
 def is_crepant_blowdown(g: BoundaryGraph, vertex: str) -> bool:
     """Whether contracting the (-1)-curve inverts a crepant blow-up.
 
-    A contraction is crepant exactly when the coefficient equals the value
-    a blow-up would assign, i.e. the sum over neighbours of coeff times
-    multiplicity, minus one.
+    A contraction is crepant exactly when the coefficient b equals the value
+    a blow-up would assign, the sum over neighbours of coeff times
+    multiplicity, minus one.  For a smooth (-1)-curve the adjunction
+    residual is -1 - b plus that sum, so this is the curve's own residual
+    being zero.
     """
     v = g.vertex(vertex)
-    if v.self_int != -1 or v.nodes != 0:
-        return False
-    coeff = {w.id: w.coeff for w in g.vertices}
-    expected = sum(
-        (coeff[e.other(vertex)] * e.multiplicity for e in g.edges_at(vertex)),
-        Fraction(-1),
-    )
-    return v.coeff == expected
+    return v.self_int == -1 and v.nodes == 0 and not _scaled_residuals(g)[0][vertex]
 
 
 # -- A_n arithmetic ---------------------------------------------------------

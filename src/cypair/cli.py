@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands: ``classify`` (singularity string), ``decide-pair`` (pair
-JSON), ``check-fiber`` (fiber JSON), ``graph`` (graph JSON plus an
-operation), ``fan`` (fan JSON plus an operation), ``catalog`` and
-``fixture``.  Each handler returns its payload and ``run`` writes it once,
-as JSON (or ``--format text``/``dot``) on stdout or to ``--out``.  Exit
-codes: 0 for any computed verdict (including a negative one), 2 for input
-validation failures, 3 for precondition errors raised by the computation
-modules.
+``_COMMANDS`` declares the subcommands once, and the parsers are built
+from it: ``classify`` (singularity string), ``decide-pair`` (pair JSON),
+``check-fiber`` (fiber JSON), ``graph`` (graph JSON plus an operation),
+``fan`` (fan JSON plus an operation), ``catalog`` and ``fixture``.  Each
+handler returns its payload and ``run`` writes it once, as JSON (or
+``--format text``/``dot``) on stdout or to ``--out``.  Exit codes: 0 for
+any computed verdict (including a negative one), 2 for input validation
+failures, 3 for precondition errors raised by the computation modules.
 """
 
 from __future__ import annotations
@@ -346,10 +346,38 @@ def _cmd_fixture(args):
 # -- dispatch -----------------------------------------------------------------
 
 
+# name -> (handler, help, ``--format`` choices, arguments): each argument is
+# (name, ``add_argument`` keywords), in ``--help`` order
+_COMMANDS = {
+    "classify": (_cmd_classify, "cluster-type verdict for a singularity string", ("json", "text"), [
+        ("singularities", dict(help='e.g. "A1+A2+A5", "4A2", "smooth"'))]),
+    "decide-pair": (_cmd_decide_pair, "five-case decision for a pair spec", ("json", "text"), [
+        ("spec", dict(help="JSON file, inline JSON, '-' or fixture:NAME"))]),
+    "check-fiber": (_cmd_check_fiber, "standard-model fiber criteria", ("json", "text"), [
+        ("spec", dict(help="fiber JSON file, inline JSON, '-' or fixture:NAME")),
+        ("--rank", dict(type=int, choices=(1, 2)))]),
+    "graph": (_cmd_graph, "dual-graph operations", ("json", "dot", "text"), [
+        ("spec", dict(help="graph JSON file, inline JSON, '-' or fixture:NAME")),
+        ("--op", dict(choices=tuple(_GRAPH_OPS), default="validate-cy")),
+        ("--apply", dict(help="JSON array of blow-up/blow-down steps")),
+        ("--depth", dict(type=int, default=3, help="witness search depth cap")),
+        ("--cap", dict(type=int, default=6, help="witness divisor coefficient cap"))]),
+    "fan": (_cmd_fan, "complete-fan operations", ("json", "text"), [
+        ("spec", dict(help="fan JSON file, inline JSON, '-' or fixture:NAME")),
+        ("--op", dict(choices=tuple(_FAN_OPS), default="validate")),
+        ("--ray", dict(help="x,y for subdivide")),
+        ("--form", dict(help="a,b for project / prepare-projection"))]),
+    "catalog": (_cmd_catalog, "list the sixteen rank-one A-type families", ("json", "text"), []),
+    "fixture": (_cmd_fixture, "dump a bundled fixture", ("json", "dot", "text"), [
+        ("name", dict(nargs="?")),
+        ("--list", dict(action="store_true"))]),
+}
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The ``cypair`` parser and its subcommand name -> parser map, built
-    on the first ``run`` and then shared.
+    from ``_COMMANDS`` on the first ``run`` and then shared.
 
     Building them costs far more than parsing a command line; parsing
     does not change them, and every parse returns a fresh namespace.
@@ -361,45 +389,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Exact decision procedures for log Calabi-Yau surface pairs",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("classify", help="cluster-type verdict for a singularity string")
-    c.add_argument("singularities", help='e.g. "A1+A2+A5", "4A2", "smooth"')
-    c.set_defaults(func=_cmd_classify)
-
-    d = sub.add_parser("decide-pair", help="five-case decision for a pair spec")
-    d.add_argument("spec", help="JSON file, inline JSON, '-' or fixture:NAME")
-    d.set_defaults(func=_cmd_decide_pair)
-
-    f = sub.add_parser("check-fiber", help="standard-model fiber criteria")
-    f.add_argument("spec", help="fiber JSON file, inline JSON, '-' or fixture:NAME")
-    f.add_argument("--rank", type=int, choices=(1, 2))
-    f.set_defaults(func=_cmd_check_fiber)
-
-    g = sub.add_parser("graph", help="dual-graph operations")
-    g.add_argument("spec", help="graph JSON file, inline JSON, '-' or fixture:NAME")
-    g.add_argument("--op", choices=tuple(_GRAPH_OPS), default="validate-cy")
-    g.add_argument("--apply", help="JSON array of blow-up/blow-down steps")
-    g.add_argument("--depth", type=int, default=3, help="witness search depth cap")
-    g.add_argument("--cap", type=int, default=6, help="witness divisor coefficient cap")
-    g.set_defaults(func=_cmd_graph)
-
-    n = sub.add_parser("fan", help="complete-fan operations")
-    n.add_argument("spec", help="fan JSON file, inline JSON, '-' or fixture:NAME")
-    n.add_argument("--op", choices=tuple(_FAN_OPS), default="validate")
-    n.add_argument("--ray", help="x,y for subdivide")
-    n.add_argument("--form", help="a,b for project / prepare-projection")
-    n.set_defaults(func=_cmd_fan)
-
-    t = sub.add_parser("catalog", help="list the sixteen rank-one A-type families")
-    t.set_defaults(func=_cmd_catalog)
-
-    x = sub.add_parser("fixture", help="dump a bundled fixture")
-    x.add_argument("name", nargs="?")
-    x.add_argument("--list", action="store_true")
-    x.set_defaults(func=_cmd_fixture)
-
-    for name, parser in sub.choices.items():
-        formats = ("json", "dot", "text") if name in ("graph", "fixture") else ("json", "text")
+    for name, (_, summary, formats, arguments) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=summary)
+        for arg, keywords in arguments:
+            parser.add_argument(arg, **keywords)
         parser.add_argument("--format", choices=formats, default="json")
         parser.add_argument("--out")
     return p, sub.choices
@@ -450,7 +443,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _emit(args.func(args), args)
+        _emit(_COMMANDS[args.command][0](args), args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

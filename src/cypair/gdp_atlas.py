@@ -268,20 +268,6 @@ class GdpFamily(namedtuple("GdpFamily", "singularities volume toric cluster_type
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        singularities: tuple[SingularityLabel, ...],
-        volume: int,
-        toric: bool,
-        cluster_type: bool,
-        fixture: str | None = None,
-    ):
-        if volume != volume_of(singularities):
-            raise AtlasError("stored volume disagrees with the singularity ranks")
-        if volume < 1:
-            raise AtlasError("volume must be positive")
-        return super().__new__(cls, singularities, volume, toric, cluster_type, fixture)
-
     @property
     def name(self) -> str:
         return format_singularities(self.singularities)

@@ -42,8 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 
 BG = "cypair/boundary_graph.py"
+CLI = "cypair/cli.py"
 FC = "cypair/fiber_criteria.py"
 FX = "cypair/fixtures.py"
+GA = "cypair/gdp_atlas.py"
 RAT = "cypair/rationals.py"
 BUILD = "tests/test_boundary_graph.py::TestBuild"
 CHECK = "tests/test_certificates.py::TestCheckWitness"
@@ -54,6 +56,9 @@ SHAPES = f"{CONTRACT}::test_long_branched_and_closed_chains"
 SEARCH = "tests/test_fiber_criteria.py::TestWitnessSearch"
 BALANCE = "tests/test_fiber_criteria.py::TestBalanceCheckMatchesIsCalabiYau"
 RANK_FIRST = "tests/test_wire_types.py::test_a_bad_fiber_rank_is_reported_before_the_node_is_read"
+REFUSED = "tests/test_refusals.py::test_each_site_refuses_with_its_class_and_message"
+REFUSED_CLI = "tests/test_refusals.py::test_each_command_line_exits_2_with_its_message"
+GOLDEN = "tests/test_cli.py::test_cli_bytes_match_the_golden"
 
 MUTANTS = [
     # -- one wire-type rule
@@ -304,6 +309,82 @@ MUTANTS = [
         "return _witness(child, script + (target,), m, index)",
         "return _witness(child, script + (next(_corners(g)),), m, index)",
         [f"{CHECK}::test_witnesses_off_the_first_corner_pass"],
+    ),
+    # -- crepancy as the contracted curve's own residual
+    (
+        "the crepancy test accepts a nodal (-1)-curve",
+        BG,
+        "v.self_int == -1 and v.nodes == 0 and not",
+        "v.self_int == -1 and not",
+        ["tests/test_boundary_graph.py::TestFastPathsMatchReference::test_random_graphs"],
+    ),
+    # -- refusals pinned by class and message
+    (
+        "resolve_An_at_node accepts an empty chain",
+        BG,
+        '    if n < 1:\n        raise InvalidGraph("n must be at least 1")\n',
+        "",
+        [f"{REFUSED}[resolve_An_at_node n]"],
+    ),
+    (
+        "an A-type rank of zero is accepted",
+        GA,
+        '        if family == "A" and rank < 1:',
+        '        if family == "A" and rank < 0:',
+        [f"{REFUSED}[SingularityLabel A0]", f"{REFUSED_CLI}[classify A0]"],
+    ),
+    (
+        "a node at A_0 is accepted",
+        GA,
+        "        if n < 1:\n"
+        '            raise InconsistentSpec("the node must sit at an A_n point with n >= 1")\n',
+        "",
+        [f"{REFUSED}[NodalAtA n]", f"{REFUSED_CLI}[decide-pair n]"],
+    ),
+    (
+        "the boundary reader drops its kind check",
+        CLI,
+        '    if not isinstance(data, dict) or "kind" not in data:',
+        "    if not isinstance(data, dict):",
+        [f"{REFUSED_CLI}[boundary kind]"],
+    ),
+    (
+        "graph_from_json drops its vertices check",
+        BG,
+        '    if not isinstance(data, dict) or "vertices" not in data:',
+        "    if not isinstance(data, dict):",
+        [f"{REFUSED}[graph_from_json vertices]"],
+    ),
+    # -- one declaration of the CLI
+    (
+        "fan loses its text format",
+        CLI,
+        '"fan": (_cmd_fan, "complete-fan operations", ("json", "text"), [',
+        '"fan": (_cmd_fan, "complete-fan operations", ("json",), [',
+        [f"{GOLDEN}[fan --help]"],
+    ),
+    (
+        "graph declares --depth before --apply",
+        CLI,
+        '        ("--apply", dict(help="JSON array of blow-up/blow-down steps")),\n'
+        '        ("--depth", dict(type=int, default=3, help="witness search depth cap")),\n',
+        '        ("--depth", dict(type=int, default=3, help="witness search depth cap")),\n'
+        '        ("--apply", dict(help="JSON array of blow-up/blow-down steps")),\n',
+        [f"{GOLDEN}[graph --help]"],
+    ),
+    (
+        "--rank takes 3",
+        CLI,
+        '("--rank", dict(type=int, choices=(1, 2)))',
+        '("--rank", dict(type=int, choices=(1, 2, 3)))',
+        [f"{GOLDEN}[check-fiber x --rank 3]"],
+    ),
+    (
+        "no command takes --out",
+        CLI,
+        '        parser.add_argument("--out")\n',
+        "",
+        [f"{GOLDEN}[catalog --help]"],
     ),
 ]
 

@@ -505,6 +505,54 @@ class TestSharedParser:
         assert fresh[0] != fresh[1] and fresh[2] != fresh[3] and fresh[11] != fresh[12]
 
 
+COMMANDS = ["classify", "decide-pair", "check-fiber", "graph", "fan", "catalog", "fixture"]
+
+# the top-level and every command's help; per command, each error that an
+# argument's type, choices or nargs decides, an unknown option and an extra
+# positional; and one command line that each handler answers
+GOLDEN_ARGVS = [[], ["--help"], ["nope"]] + [[c, "--help"] for c in COMMANDS] + [
+    ["classify"], ["classify", "A1", "--format", "dot"], ["classify", "A1", "--out"],
+    ["classify", "A1", "--nope"], ["classify", "A1", "extra"],
+    ["decide-pair"], ["decide-pair", "x", "--format", "dot"], ["decide-pair", "x", "--nope"],
+    ["decide-pair", "x", "extra"],
+    ["check-fiber"], ["check-fiber", "x", "--rank", "3"], ["check-fiber", "x", "--rank", "one"],
+    ["check-fiber", "x", "--format", "dot"], ["check-fiber", "x", "--nope"],
+    ["check-fiber", "x", "extra"],
+    ["graph"], ["graph", "x", "--op", "nope"], ["graph", "x", "--format", "svg"],
+    ["graph", "x", "--depth", "two"], ["graph", "x", "--cap", "1.5"], ["graph", "x", "--apply"],
+    ["graph", "x", "--nope"], ["graph", "x", "extra"],
+    ["fan"], ["fan", "x", "--op", "nope"], ["fan", "x", "--format", "dot"], ["fan", "x", "--ray"],
+    ["fan", "x", "--form"], ["fan", "x", "--nope"], ["fan", "x", "extra"],
+    ["catalog", "--format", "dot"], ["catalog", "--out"], ["catalog", "--nope"],
+    ["catalog", "extra"],
+    ["fixture", "p2.fan", "--format", "svg"], ["fixture", "--list=1"], ["fixture", "--nope"],
+    ["fixture", "p2.fan", "extra"],
+    ["classify", "A1+A2+A5", "--format", "text"],
+    ["decide-pair", _k(2)],
+    ["check-fiber", "fixture:ex62.pic2", "--rank", "2", "--format", "text"],
+    ["graph", "fixture:ex63.graph", "--op", "witness", "--depth", "1", "--cap", "2"],
+    ["graph", "fixture:p2.triangle", "--apply", '[{"op":"blowup_interior","vertex":"L1"}]',
+     "--format", "dot"],
+    ["fan", "fixture:p2.fan", "--op", "subdivide", "--ray", "1,1", "--format", "text"],
+    ["catalog", "--format", "text"],
+    ["fixture", "--list"], ["fixture", "p2.triangle", "--format", "dot"],
+]
+
+# exit code, stdout and stderr of ``run`` on each of GOLDEN_ARGVS under
+# COLUMNS=80, keyed by the space-joined argv: the same bytes on Python 3.10
+# to 3.13.  The parsers are built from ``cli._COMMANDS``, so this file, not
+# a second parser built from the same table, is what shows a wrong table;
+# re-record it only for a deliberate change of output
+CLI_BYTES = json.loads((Path(__file__).parent / "golden" / "cli_parse.json").read_text())
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=[" ".join(a) or "no-arguments" for a in GOLDEN_ARGVS])
+def test_cli_bytes_match_the_golden(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+    expected = CLI_BYTES[" ".join(argv)]
+    assert invoke(capsys, *argv) == (expected["exit"], expected["stdout"], expected["stderr"])
+
+
 class TestFanCommand:
     def test_self_intersections(self, capsys):
         data = invoke_json(capsys, "fan", "fixture:p2.fan", "--op", "self-intersections")

@@ -172,6 +172,8 @@ class TestCatalog:
     def test_volumes_match(self):
         for fam in atlas.catalog():
             assert fam.volume == atlas.volume_of(fam.singularities)
+            assert fam.volume >= 1
+            assert fam.cluster_type == atlas.classify_surface(fam.singularities).cluster_type
 
     def test_resolution_graph_bookkeeping(self):
         with_graph = [f for f in atlas.catalog() if f.fixture is not None]
