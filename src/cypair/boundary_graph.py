@@ -25,8 +25,11 @@ same-class equality are those of the tuple of their fields, and fields
 cannot be set.  Three tuple traits remain:
 
 - A record equals the plain tuple of its fields.
-- ``_replace`` skips ``__new__``, so build through the constructor
-  wherever a check or the endpoint order of an edge matters.
+- ``_make`` and ``_replace`` skip ``__new__`` and its checks.  Surgery on
+  a valid graph builds with ``_make`` only the values it re-derives from
+  kept curves and edges, whose invariants hold by construction; every new
+  value goes through its constructor.  ``_store`` states the same rule
+  for the graph.
 - ``Fan2.__len__`` breaks ``_make`` and ``_replace`` on ``Fan2``, so do
   not call either on it.
 """
@@ -352,6 +355,16 @@ def _wrong_length(kind: str, name: tuple, n: int, least: int) -> InvalidGraph:
     return InvalidGraph(f"{kind} {label} has {n} fields, not {least} or {least + 1}")
 
 
+def _new_id(g: BoundaryGraph, new_id) -> str:
+    """The exceptional curve's id: the caller's ``new_id``, refused when a
+    curve has it, or else the ``_fresh_id``, which no curve has."""
+    if not new_id:
+        return _fresh_id(g)
+    if any(v.id == new_id for v in g.vertices):
+        raise InvalidGraph(f"vertex id {new_id!r} already in use")
+    return new_id
+
+
 def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
     """The one store of a graph: for ``build``, surgery and chain contraction.
 
@@ -380,56 +393,80 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
     edge point, 2*b_c - 1 at a node.  The Picard rank grows by one.
     Crossings sitting at marked points are not ordinary corner points, so
     an edge needs more points than the marked points through both curves.
+    A caller's ``new_id`` is checked for use first.  One pass over the
+    edges finds the split edge and keeps the others, and one over the
+    vertices re-derives the lowered endpoints or the nodal curve.  Those,
+    and the split edge, are built with ``_make``: an integer step keeps a
+    self-intersection's stored form, coefficients do not change, a node
+    is taken only from a curve that has one, and the split edge keeps
+    a < b and at least one point.  The exceptional curve and its edges go
+    through their checking constructors.
     """
     if (edge is None) == (node is None):
         raise NoSuchIntersection("pass exactly one of edge=(a, b) or node=vertex_id")
-    eid = new_id or _fresh_id(g)
-    if g.has_vertex(eid):
-        raise InvalidGraph(f"vertex id {eid!r} already in use")
+    eid = _new_id(g, new_id)
+    vs, make = [], CurveVertex._make
     if edge is not None:
         a, b = edge
-        e = g.edge_between(a, b)
+        lo, hi = (a, b) if a < b else (b, a)
+        es, e = [], None
+        for x in g.edges:
+            if x.a == lo and x.b == hi:
+                e = x
+            else:
+                es.append(x)
         if e is None:
             raise NoSuchIntersection(f"no intersection point between {a!r} and {b!r}")
-        if e.multiplicity <= sum(1 for p in g.marked_points if a in p.branches and b in p.branches):
+        m = e.multiplicity
+        if m <= sum(1 for p in g.marked_points if a in p.branches and b in p.branches):
             raise NoSuchIntersection(
                 f"every intersection point of {a!r} and {b!r} lies at a marked point"
             )
-        vs, coeff = [], -1
+        coeff = -1
         for v in g.vertices:
             if v.id == a or v.id == b:
                 coeff += v.coeff
-                v = CurveVertex(v.id, v.self_int - 1, v.coeff, v.nodes)
+                v = make((v.id, v.self_int - 1, v.coeff, v.nodes))
             vs.append(v)
         vs.append(CurveVertex(eid, -1, coeff))
-        es = [x for x in g.edges if x is not e]
-        if e.multiplicity > 1:
-            es.append(Edge(e.a, e.b, e.multiplicity - 1))
+        if m > 1:
+            es.append(Edge._make((lo, hi, m - 1)))
         es += [Edge(eid, a), Edge(eid, b)]
         return _store(vs, es, g.marked_points, g.picard_rank + 1)
-    vc = g.vertex(node)
-    if vc.nodes < 1:
-        raise NoSuchIntersection(f"{node!r} has no nodes")
-    vs = [*g.vertices, CurveVertex(eid, -1, 2 * vc.coeff - 1)]
-    vs[g.vertices.index(vc)] = CurveVertex(vc.id, vc.self_int - 4, vc.coeff, vc.nodes - 1)
-    es = [*g.edges, Edge(eid, node, 2)]
-    return _store(vs, es, g.marked_points, g.picard_rank + 1)
+    coeff = None
+    for v in g.vertices:
+        if v.id == node:
+            if v.nodes < 1:
+                raise NoSuchIntersection(f"{node!r} has no nodes")
+            coeff = 2 * v.coeff - 1
+            v = make((node, v.self_int - 4, v.coeff, v.nodes - 1))
+        vs.append(v)
+    if coeff is None:
+        raise NoSuchVertex(f"no vertex {node!r}")
+    vs.append(CurveVertex(eid, -1, coeff))
+    return _store(vs, [*g.edges, Edge(eid, node, 2)], g.marked_points, g.picard_rank + 1)
 
 
 def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph:
     """Crepant blow-up of a smooth point of one component.
 
     The exceptional curve gets coefficient b_c - 1 (a sub-pair when b_c < 1)
-    and meets the strict transform once.
+    and meets the strict transform once.  One pass over the vertices finds
+    the component and lowers it, with ``_make``; a caller's ``new_id`` is
+    then checked for use, and the new curve and its edge go through their
+    checking constructors.
     """
-    vc = g.vertex(vertex)
-    eid = new_id or _fresh_id(g)
-    if g.has_vertex(eid):
-        raise InvalidGraph(f"vertex id {eid!r} already in use")
-    vs = [*g.vertices, CurveVertex(eid, -1, vc.coeff - 1)]
-    vs[g.vertices.index(vc)] = CurveVertex(vc.id, vc.self_int - 1, vc.coeff, vc.nodes)
-    es = [*g.edges, Edge(eid, vertex)]
-    return _store(vs, es, g.marked_points, g.picard_rank + 1)
+    vs, coeff = [], None
+    for v in g.vertices:
+        if v.id == vertex:
+            coeff = v.coeff - 1
+            v = CurveVertex._make((vertex, v.self_int - 1, v.coeff, v.nodes))
+        vs.append(v)
+    if coeff is None:
+        raise NoSuchVertex(f"no vertex {vertex!r}")
+    eid = _new_id(g, new_id)
+    vs.append(CurveVertex(eid, -1, coeff))
+    return _store(vs, [*g.edges, Edge(eid, vertex)], g.marked_points, g.picard_rank + 1)
 
 
 def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
@@ -441,16 +478,14 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
     contracted coefficient is discarded: use is_crepant_blowdown to test
     whether the contraction preserves the log Calabi-Yau structure.
     One pass over the edges collects the curve's multiplicities and keeps
-    the other edges; only an edge between two neighbours looks up its
-    gain.  Vertices and edges the contraction does not touch are reused.
+    the other edges, and one over the vertices finds the curve and
+    re-derives its neighbours; only an edge between two neighbours looks
+    up its gain.  Vertices and edges the contraction does not touch are
+    reused.  The re-derived neighbours and the kept edges that gain
+    points are built with ``_make``, since integer gains keep the stored
+    form and counts only grow; new edges between neighbours go through
+    ``Edge``.
     """
-    v = g.vertex(vertex)
-    if v.self_int != -1:
-        raise NotMinusOneCurve(f"{vertex!r} has self-intersection {v.self_int}, not -1")
-    if v.nodes != 0:
-        raise VertexHasNodes(f"{vertex!r} carries nodes and is not a smooth (-1)-curve")
-    if any(vertex in p.branches for p in g.marked_points):
-        raise InvalidGraph(f"{vertex!r} appears in a marked point")
     mults, es = {}, []
     for e in g.edges:
         if e.a == vertex:
@@ -459,13 +494,27 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
             mults[e.a] = e.multiplicity
         else:
             es.append(e)
-    vs = [CurveVertex(w.id, w.self_int + m * m, w.coeff, w.nodes + m * (m - 1) // 2)
-          if (m := mults.get(w.id)) else w for w in g.vertices if w is not v]
+    vs, v, make = [], None, CurveVertex._make
+    for w in g.vertices:
+        if w.id == vertex:
+            v = w
+        elif m := mults.get(w.id):
+            vs.append(make((w.id, w.self_int + m * m, w.coeff, w.nodes + m * (m - 1) // 2)))
+        else:
+            vs.append(w)
+    if v is None:
+        raise NoSuchVertex(f"no vertex {vertex!r}")
+    if v.self_int != -1:
+        raise NotMinusOneCurve(f"{vertex!r} has self-intersection {v.self_int}, not -1")
+    if v.nodes != 0:
+        raise VertexHasNodes(f"{vertex!r} carries nodes and is not a smooth (-1)-curve")
+    if any(vertex in p.branches for p in g.marked_points):
+        raise InvalidGraph(f"{vertex!r} appears in a marked point")
     if len(mults) > 1:
         pair_gain = {(a, b): mults[a] * mults[b] for a, b in combinations(sorted(mults), 2)}
         for i, e in enumerate(es):
             if e.a in mults and e.b in mults:
-                es[i] = Edge(e.a, e.b, e.multiplicity + pair_gain.pop((e.a, e.b)))
+                es[i] = Edge._make((e.a, e.b, e.multiplicity + pair_gain.pop((e.a, e.b))))
         es += [Edge(a, b, m) for (a, b), m in pair_gain.items()]
     return _store(vs, es, g.marked_points, g.picard_rank - 1)
 

@@ -172,7 +172,9 @@ def _cmd_decide_pair(args) -> dict:
         sings = atlas.parse_singularities(data["singularities"])
         boundary = _boundary_from_json(data["boundary"])
         spec = atlas.PairSpec.build(sings, boundary)
-    except (KeyError, TypeError, atlas.AtlasError) as exc:
+    except KeyError as exc:
+        raise CliInputError(f"bad pair spec: missing field {exc.args[0]!r}") from exc
+    except (TypeError, atlas.AtlasError) as exc:
         raise CliInputError(f"bad pair spec: {exc}") from exc
     verdict = atlas.decide_pair(spec)
     return {

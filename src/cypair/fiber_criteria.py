@@ -322,19 +322,18 @@ def _first_divisor(gram: list[list[int]], allowed, cap: int) -> list[int] | None
     return m if n and extend(0, 0, 0) else None
 
 
-def _divisor_witness(g: bg.BoundaryGraph, index: dict, cap: int) -> list[int] | None:
+def _divisor_witness(g: bg.BoundaryGraph, index: dict, scale: int, cap: int) -> list[int] | None:
     """The first divisor in the scan order on ``g``, a blow-up of the fiber
     whose components ``index`` numbers, as multiplicities of those
     original components, or None.
 
     The form is the Gram matrix of the originals' strict transforms scaled
-    by L, the lcm of the denominators of their self-intersections, which
-    keeps its sign exact.  Each boundary node has the bitmask of the
+    by ``scale``, the lcm of the denominators of their self-intersections,
+    which keeps its sign exact.  Each boundary node has the bitmask of the
     originals through it: an edge its original endpoints, a self-node its
     own curve.  A divisor is allowed while some mask misses its support.
     """
     originals = [v for v in g.vertices if v.id in index]
-    scale = lcm(*[v.self_int.denominator for v in originals])
     gram = [[0] * len(index) for _ in index]
     masks = set()
     for v in originals:
@@ -403,9 +402,11 @@ def prop51_witness_search(
 
     The scan is over the integers: the Gram matrix of the original
     components is scaled by the common denominator of their
-    self-intersections, which keeps the sign of every value.  A prefix
-    whose support already meets every boundary node is skipped whole, and
-    a graph whose Gram matrix is negative definite is not scanned, since
+    self-intersections, which keeps the sign of every value.  The scale is
+    computed once, on the fiber: a blow-up changes self-intersections by
+    integers, so every child has the fiber's denominators.  A prefix whose
+    support already meets every boundary node is skipped whole, and a
+    graph whose Gram matrix is negative definite is not scanned, since
     there every nonzero divisor has negative self-intersection.
 
     The fiber must be an index-one log canonical Calabi-Yau boundary
@@ -435,7 +436,8 @@ def prop51_witness_search(
     if fiber.marked_points:
         raise PreconditionFailed("witness search needs a log canonical graph: no marked points")
     index = {vid: i for i, vid in enumerate(fiber.ids())}
-    m = _divisor_witness(fiber, index, coeff_cap)
+    scale = lcm(*[v.self_int.denominator for v in fiber.vertices])
+    m = _divisor_witness(fiber, index, scale, coeff_cap)
     if m is not None:
         return _witness(fiber, (), m, index)
     frontier = [((), fiber)]
@@ -447,7 +449,7 @@ def prop51_witness_search(
                     child = bg.blowup_corner(g, edge=target[1:])
                 else:
                     child = bg.blowup_corner(g, node=target[1])
-                m = _divisor_witness(child, index, coeff_cap)
+                m = _divisor_witness(child, index, scale, coeff_cap)
                 if m is not None:
                     return _witness(child, script + (target,), m, index)
                 nxt.append((script + (target,), child))

@@ -59,6 +59,8 @@ RANK_FIRST = "tests/test_wire_types.py::test_a_bad_fiber_rank_is_reported_before
 REFUSED = "tests/test_refusals.py::test_each_site_refuses_with_its_class_and_message"
 REFUSED_CLI = "tests/test_refusals.py::test_each_command_line_exits_2_with_its_message"
 GOLDEN = "tests/test_cli.py::test_cli_bytes_match_the_golden"
+CORNER = "tests/test_boundary_graph.py::TestBlowupCorner"
+SURGERY = "tests/test_boundary_graph.py::TestSurgeryBuildsWhatTheConstructorsWould"
 
 MUTANTS = [
     # -- one wire-type rule
@@ -141,8 +143,8 @@ MUTANTS = [
     (
         "the corner blow-up lowers only endpoint a",
         BG,
-        "v = CurveVertex(v.id, v.self_int - 1, v.coeff, v.nodes)",
-        "v = CurveVertex(v.id, v.self_int - (v.id == a), v.coeff, v.nodes)",
+        "v = make((v.id, v.self_int - 1, v.coeff, v.nodes))",
+        "v = make((v.id, v.self_int - (v.id == a), v.coeff, v.nodes))",
         ["tests/test_boundary_graph.py::TestBlowdown::test_roundtrip_corner_edge"],
     ),
     (
@@ -151,6 +153,50 @@ MUTANTS = [
         "tuple(sorted(edges))",
         "tuple(edges)",
         ["tests/test_boundary_graph.py::test_store_sorts_as_the_keyed_sort"],
+    ),
+    # -- surgery builds re-derived values unchecked, new values checked
+    (
+        "the corner blow-up keeps an endpoint's self-intersection",
+        BG,
+        "v = make((v.id, v.self_int - 1, v.coeff, v.nodes))",
+        "v = make((v.id, v.self_int, v.coeff, v.nodes))",
+        [f"{CORNER}::test_reduced_cycle_corner_keeps_complexity"],
+    ),
+    (
+        "the node blow-up keeps the curve's nodes",
+        BG,
+        "v = make((node, v.self_int - 4, v.coeff, v.nodes - 1))",
+        "v = make((node, v.self_int - 4, v.coeff, v.nodes))",
+        [f"{CORNER}::test_node_case_volume_five"],
+    ),
+    (
+        "the split edge keeps its multiplicity",
+        BG,
+        "es.append(Edge._make((lo, hi, m - 1)))",
+        "es.append(e)",
+        [f"{CORNER}::test_marked_points_shield_their_crossings"],
+    ),
+    (
+        "the blow-down drops the m-choose-2 nodes",
+        BG,
+        "w.nodes + m * (m - 1) // 2",
+        "w.nodes",
+        ["tests/test_boundary_graph.py::TestBlowdown::test_roundtrip_corner_node"],
+    ),
+    (
+        "a caller's id is not checked for use",
+        BG,
+        "    if any(v.id == new_id for v in g.vertices):",
+        "    if False:",
+        [f"{SURGERY}::test_double_faults_keep_their_precedence"],
+    ),
+    (
+        "the search takes the scale as 1",
+        FC,
+        "    scale = lcm(*[v.self_int.denominator for v in fiber.vertices])",
+        "    scale = 1",
+        ["tests/test_fiber_criteria.py::TestPrunedSearchMatchesReference"
+         "::test_non_integral_self_intersections"],
     ),
     # -- chain contraction over two maps, in int
     (
@@ -347,6 +393,13 @@ MUTANTS = [
         '    if not isinstance(data, dict) or "kind" not in data:',
         "    if not isinstance(data, dict):",
         [f"{REFUSED_CLI}[boundary kind]"],
+    ),
+    (
+        "a missing pair field prints the bare key",
+        CLI,
+        'raise CliInputError(f"bad pair spec: missing field {exc.args[0]!r}") from exc',
+        'raise CliInputError(f"bad pair spec: {exc}") from exc',
+        [f"{REFUSED_CLI}[decide-pair missing n]"],
     ),
     (
         "graph_from_json drops its vertices check",

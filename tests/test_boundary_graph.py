@@ -799,6 +799,120 @@ class TestFastPathsMatchReference:
                         "non-integral self-intersection"}
 
 
+def _assert_as_constructed(g: bg.BoundaryGraph) -> None:
+    """Every vertex and edge of g equals what its checking constructor makes
+    of its fields, field type for field type: ``==`` alone cannot tell -1
+    from Fraction(-1, 1), whose reprs and JSON differ."""
+    for x, make in [(v, bg.CurveVertex) for v in g.vertices] + [(e, bg.Edge) for e in g.edges]:
+        y = make(*x)
+        assert (type(x), x, [type(f) for f in x]) == (make, y, [type(f) for f in y]), x
+
+
+def _surgeries(g: bg.BoundaryGraph, seen: set) -> list[bg.BoundaryGraph]:
+    """Every corner, node and interior blow-up of g with the blow-down of its
+    new curve, and every blow-down that g allows; ``seen`` collects which
+    kinds of re-derived value occurred."""
+    ups = []
+    for e in g.edges:
+        for edge in ((e.a, e.b), (e.b, e.a)):
+            try:
+                ups.append(bg.blowup_corner(g, edge=edge))
+            except bg.NoSuchIntersection:
+                continue  # every crossing of the pair sits at a marked point
+            seen.add("split edge" if e.multiplicity > 1 else "corner")
+    ups += [bg.blowup_corner(g, node=v.id) for v in g.vertices if v.nodes]
+    ups += [bg.blowup_interior(g, v.id) for v in g.vertices]
+    fresh = ref._fresh_id(g)
+    out = ups + [bg.blowdown(up, fresh) for up in ups]
+    for v in g.vertices:
+        try:
+            out.append(bg.blowdown(g, v.id))
+        except bg.GraphError:
+            continue
+        mults = [e.multiplicity for e in g.edges if v.id in (e.a, e.b)]
+        if any(m > 1 for m in mults):
+            seen.add("blow-down adds nodes")
+        if len(mults) > 1:
+            seen.add("blow-down adds points between neighbours")
+    if any(v.nodes for v in g.vertices):
+        seen.add("node")
+    if any(v.self_int.denominator > 1 for v in g.vertices):
+        seen.add("Fraction self-intersection")
+    return out
+
+
+class TestSurgeryBuildsWhatTheConstructorsWould:
+    """The blow-ups and the blow-down re-derive kept curves and edges without
+    their checking constructors; the values must be the constructors' own."""
+
+    def test_graph_fixtures(self):
+        seen = set()
+        for name in fixtures.fixture_names():
+            if fixtures.fixture_kind(name) == "graph":
+                for out in _surgeries(fixtures.load_fixture(name), seen):
+                    _assert_as_constructed(out)
+        assert {"corner", "split edge", "node", "blow-down adds nodes"} <= seen
+
+    def test_seeded_graphs(self):
+        rng = random.Random(20261020)
+        sources = (random_balanced_seed, random_marked_seed, random_witness_fiber,
+                   _contracted_chain, _nodal_minus_one)
+        seen = set()
+        for i in range(300):
+            for out in _surgeries(sources[i % len(sources)](rng), seen):
+                _assert_as_constructed(out)
+        assert seen == {"corner", "split edge", "node", "blow-down adds nodes",
+                        "blow-down adds points between neighbours", "Fraction self-intersection"}
+
+    def test_double_faults_keep_their_precedence(self):
+        """Refusals that a one-pass walk could reorder, against the reference:
+        a caller's id in use with a missing edge, a missing node or a curve
+        without a node, and an interior blow-up named after its own curve."""
+        rng = random.Random(20261021)
+        graphs = [fixtures.load_fixture(name) for name in fixtures.fixture_names()
+                  if fixtures.fixture_kind(name) == "graph"]
+        graphs += [random_witness_fiber(rng) for _ in range(40)]
+        graphs += [random_marked_seed(rng) for _ in range(20)]
+        messages = set()
+        for g in graphs:
+            used = g.vertices[-1].id
+            calls = [
+                (bg.blowup_corner, ref.blowup_corner, {"edge": (used, "nowhere"), "new_id": used}),
+                (bg.blowup_corner, ref.blowup_corner, {"edge": ("no", "where"), "new_id": used}),
+                (bg.blowup_corner, ref.blowup_corner, {"node": "nowhere", "new_id": used}),
+                (bg.blowup_interior, ref.blowup_interior, {"vertex": "nowhere", "new_id": used}),
+            ]
+            for v in g.vertices:
+                if not v.nodes:
+                    calls.append((bg.blowup_corner, ref.blowup_corner,
+                                  {"node": v.id, "new_id": used}))
+                calls.append((bg.blowup_interior, ref.blowup_interior,
+                              {"vertex": v.id, "new_id": v.id}))
+            for fast, slow, kwargs in calls:
+                out = _same_outcome(fast, slow, g, **kwargs)
+                assert isinstance(out, bg.GraphError), kwargs
+                messages.add(str(out))
+        assert messages == {
+            *(f"vertex id {vid!r} already in use" for g in graphs for vid in g.ids()),
+            "no vertex 'nowhere'",
+        }
+
+    def test_blowdown_double_faults_keep_their_precedence(self):
+        marked = random_marked_seed(random.Random(3))
+        branch = marked.marked_points[0].branches[0]
+        cases = [
+            (build([("E", -2, 1, 1)]), "E", bg.NotMinusOneCurve),
+            (build([("E", -1, 1, 1), ("L", 1, 1), ("M", 1, 1)],
+                   [("E", "L"), ("E", "M"), ("L", "M")], [("E", "L", "M")], 3),
+             "E", bg.VertexHasNodes),
+            (build([bg.CurveVertex(v.id, -1, v.coeff, 0) if v.id == branch else v
+                    for v in marked.vertices], marked.edges, marked.marked_points,
+                   marked.picard_rank), branch, bg.InvalidGraph),
+        ]
+        for g, vid, error in cases:
+            assert type(_same_outcome(bg.blowdown, ref.blowdown, g, vid)) is error
+
+
 _RSS_PROBE = """
 import random
 

@@ -62,6 +62,14 @@ CLI_SITES = [
     ("decide-pair n", ["decide-pair", '{"singularities": "A1", '
                                       '"boundary": {"kind": "nodal_at_A", "n": 0}}'],
      "error: bad pair spec: the node must sit at an A_n point with n >= 1\n"),
+    ("decide-pair missing n", ["decide-pair", '{"singularities": "A1", '
+                                              '"boundary": {"kind": "nodal_at_A"}}'],
+     "error: bad pair spec: missing field 'n'\n"),
+    ("decide-pair missing singularities",
+     ["decide-pair", '{"boundary": {"kind": "nodal_smooth_locus"}}'],
+     "error: bad pair spec: missing field 'singularities'\n"),
+    ("decide-pair missing boundary", ["decide-pair", '{"singularities": "A1"}'],
+     "error: bad pair spec: missing field 'boundary'\n"),
 ]
 
 
