@@ -19,6 +19,12 @@ The two forms compare and hash equal, but their reprs differ (``-1``
 against ``Fraction(-1, 1)``).  ``validate_cy`` still returns its
 residuals as ``Fraction``s.
 
+A graph keeps its vertices in id order and its edges in (a, b) order.
+``build`` sorts what it reads, and nothing else sorts: surgery and chain
+contraction keep every value they keep or re-derive in place and insert
+each new value with ``bisect.insort``, so ``_store`` takes the order it
+is given.
+
 The value types here and in the other modules are ``namedtuple``
 subclasses with empty ``__slots__``: their repr, hash, ordering and
 same-class equality are those of the tuple of their fields, and fields
@@ -36,6 +42,7 @@ cannot be set.  Three tuple traits remain:
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
@@ -149,7 +156,8 @@ class BoundaryGraph(
         and marked points must name existing vertices, and every two branches
         of a marked point must meet there (so two curves meet at least once
         per marked point through both).  The first bad vertex or edge decides
-        the error.  Stored through ``_store``, as surgery results are.
+        the error.  Sorts the vertices and edges it read, the one sort of a
+        graph, and stores them through ``_store``, as surgery results are.
         """
         vs = []
         for v in vertices:
@@ -187,7 +195,8 @@ class BoundaryGraph(
                 raise InvalidGraph(
                     f"marked points through {a!r} and {b!r} outnumber their intersection points"
                 )
-        return _store(vs, es, tuple(sorted(mps)), typed(rho, int, "rho", InvalidGraph))
+        return _store(sorted(vs), sorted(es), tuple(sorted(mps)),
+                      typed(rho, int, "rho", InvalidGraph))
 
     # -- lookups ---------------------------------------------------------
 
@@ -225,12 +234,27 @@ class BoundaryGraph(
 def _scaled_residuals(g: BoundaryGraph) -> tuple[dict, int]:
     """Adjunction residuals times a common denominator, as exact ints.
 
-    Returns ({id: residual * scale}, scale) with scale the lcm of the
-    coefficient denominators times the lcm of the self-intersection
-    denominators.  Each vertex's self-intersection and coefficient are
-    read once, as integer ratios; then one pass over the vertices and one
-    over the edges.  Fields may be ``int`` or ``Fraction``.
+    Returns ({id: residual * scale}, scale).  While every self-intersection
+    c and coefficient b read so far is an ``int``, a vertex's residual is
+    2*delta - 2 + (b - 1)*c with scale 1, and the edges then add b_w * m:
+    ``CurveVertex`` stores every integral rational as an ``int``, so this
+    path sees all of an integral graph and computes in ``int`` exactly.
+    The first ``Fraction`` sends the graph down the scaled path instead:
+    scale is the lcm of the coefficient denominators times the lcm of the
+    self-intersection denominators, each field is read once as an integer
+    ratio, then one pass over the vertices and one over the edges.
     """
+    coeff, res = {}, {}
+    for vid, sq, b, nodes in g.vertices:
+        if type(sq) is not int or type(b) is not int:
+            break
+        coeff[vid] = b
+        res[vid] = 2 * nodes - 2 + (b - 1) * sq
+    else:
+        for a, b, m in g.edges:
+            res[a] += coeff[b] * m
+            res[b] += coeff[a] * m
+        return res, 1
     vs = g.vertices
     sqs, coeffs = [], []
     for v in vs:
@@ -360,7 +384,7 @@ def _new_id(g: BoundaryGraph, new_id) -> str:
     curve has it, or else the ``_fresh_id``, which no curve has."""
     if not new_id:
         return _fresh_id(g)
-    if any(v.id == new_id for v in g.vertices):
+    if new_id in g.ids():
         raise InvalidGraph(f"vertex id {new_id!r} already in use")
     return new_id
 
@@ -368,17 +392,29 @@ def _new_id(g: BoundaryGraph, new_id) -> str:
 def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
     """The one store of a graph: for ``build``, surgery and chain contraction.
 
-    Sorts vertices and edges as the tuples they are and checks that the
-    Picard rank is positive, which a blow-down or a contraction can break;
-    ``marked_points`` comes sorted.  Ids are unique and so are endpoint
-    pairs, so a tuple's own order is the id order and the (a, b) order,
-    and no key is needed.  It re-checks nothing else: ``build`` has, and
-    surgery or contraction on a valid graph keeps ids unique, edges in
+    Takes vertices in id order and edges in (a, b) order, and marked
+    points sorted, and sorts nothing: ``build`` sorts what it reads, and
+    surgery and contraction keep that order.  Ids are unique and so are
+    endpoint pairs, so a tuple's own order is the id order and the (a, b)
+    order.  Checks that the Picard rank is positive, which a blow-down or
+    a contraction can break, and re-checks nothing else: ``build`` has,
+    and surgery or contraction on a valid graph keeps ids unique, edges in
     order and marked points valid.
     """
     if rho < 1:
         raise InvalidGraph("Picard rank must be positive")
-    return BoundaryGraph(tuple(sorted(vertices)), tuple(sorted(edges)), marked_points, rho)
+    return BoundaryGraph(tuple(vertices), tuple(edges), marked_points, rho)
+
+
+def _add_curve(g: BoundaryGraph, vs: list, es: list, eid: str, coeff, new_edges) -> BoundaryGraph:
+    """A blow-up of g, stored: the kept and lowered curves ``vs`` and the
+    kept edges ``es``, both in order, with the exceptional curve ``eid``
+    of coefficient ``coeff`` and its ``new_edges`` inserted in order.  The
+    Picard rank grows by one."""
+    insort(vs, CurveVertex(eid, -1, coeff))
+    for e in new_edges:
+        insort(es, e)
+    return _store(vs, es, g.marked_points, g.picard_rank + 1)
 
 
 # -- blow-ups and blow-downs ------------------------------------------------
@@ -394,13 +430,14 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
     Crossings sitting at marked points are not ordinary corner points, so
     an edge needs more points than the marked points through both curves.
     A caller's ``new_id`` is checked for use first.  One pass over the
-    edges finds the split edge and keeps the others, and one over the
-    vertices re-derives the lowered endpoints or the nodal curve.  Those,
-    and the split edge, are built with ``_make``: an integer step keeps a
-    self-intersection's stored form, coefficients do not change, a node
-    is taken only from a curve that has one, and the split edge keeps
-    a < b and at least one point.  The exceptional curve and its edges go
-    through their checking constructors.
+    edges keeps the others and puts the split edge's m - 1 points in its
+    place, and one over the vertices re-derives the lowered endpoints or
+    the nodal curve in place.  Those, and the split edge, are built with
+    ``_make``: an integer step keeps a self-intersection's stored form,
+    coefficients do not change, a node is taken only from a curve that
+    has one, and the split edge keeps a < b and at least one point.  The
+    exceptional curve and its edges go through their checking
+    constructors and are inserted in order by ``_add_curve``.
     """
     if (edge is None) == (node is None):
         raise NoSuchIntersection("pass exactly one of edge=(a, b) or node=vertex_id")
@@ -413,6 +450,8 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
         for x in g.edges:
             if x.a == lo and x.b == hi:
                 e = x
+                if x.multiplicity > 1:
+                    es.append(Edge._make((lo, hi, x.multiplicity - 1)))
             else:
                 es.append(x)
         if e is None:
@@ -428,11 +467,7 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
                 coeff += v.coeff
                 v = make((v.id, v.self_int - 1, v.coeff, v.nodes))
             vs.append(v)
-        vs.append(CurveVertex(eid, -1, coeff))
-        if m > 1:
-            es.append(Edge._make((lo, hi, m - 1)))
-        es += [Edge(eid, a), Edge(eid, b)]
-        return _store(vs, es, g.marked_points, g.picard_rank + 1)
+        return _add_curve(g, vs, es, eid, coeff, (Edge(eid, a), Edge(eid, b)))
     coeff = None
     for v in g.vertices:
         if v.id == node:
@@ -443,8 +478,7 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
         vs.append(v)
     if coeff is None:
         raise NoSuchVertex(f"no vertex {node!r}")
-    vs.append(CurveVertex(eid, -1, coeff))
-    return _store(vs, [*g.edges, Edge(eid, node, 2)], g.marked_points, g.picard_rank + 1)
+    return _add_curve(g, vs, list(g.edges), eid, coeff, (Edge(eid, node, 2),))
 
 
 def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph:
@@ -452,9 +486,10 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
 
     The exceptional curve gets coefficient b_c - 1 (a sub-pair when b_c < 1)
     and meets the strict transform once.  One pass over the vertices finds
-    the component and lowers it, with ``_make``; a caller's ``new_id`` is
-    then checked for use, and the new curve and its edge go through their
-    checking constructors.
+    the component and lowers it in place, with ``_make``; a caller's
+    ``new_id`` is then checked for use, and the new curve and its edge go
+    through their checking constructors and are inserted in order by
+    ``_add_curve``.
     """
     vs, coeff = [], None
     for v in g.vertices:
@@ -465,8 +500,7 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
     if coeff is None:
         raise NoSuchVertex(f"no vertex {vertex!r}")
     eid = _new_id(g, new_id)
-    vs.append(CurveVertex(eid, -1, coeff))
-    return _store(vs, [*g.edges, Edge(eid, vertex)], g.marked_points, g.picard_rank + 1)
+    return _add_curve(g, vs, list(g.edges), eid, coeff, (Edge(eid, vertex),))
 
 
 def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
@@ -481,10 +515,11 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
     the other edges, and one over the vertices finds the curve and
     re-derives its neighbours; only an edge between two neighbours looks
     up its gain.  Vertices and edges the contraction does not touch are
-    reused.  The re-derived neighbours and the kept edges that gain
-    points are built with ``_make``, since integer gains keep the stored
-    form and counts only grow; new edges between neighbours go through
-    ``Edge``.
+    reused, and every kept value stays in its place.  The re-derived
+    neighbours and the kept edges that gain points are built with
+    ``_make``, since integer gains keep the stored form and counts only
+    grow; new edges between neighbours go through ``Edge`` and are
+    inserted in order.
     """
     mults, es = {}, []
     for e in g.edges:
@@ -515,7 +550,8 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
         for i, e in enumerate(es):
             if e.a in mults and e.b in mults:
                 es[i] = Edge._make((e.a, e.b, e.multiplicity + pair_gain.pop((e.a, e.b))))
-        es += [Edge(a, b, m) for (a, b), m in pair_gain.items()]
+        for (a, b), m in pair_gain.items():
+            insort(es, Edge(a, b, m))
     return _store(vs, es, g.marked_points, g.picard_rank - 1)
 
 
@@ -634,7 +670,8 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
     new singular point, that intersection is not recorded.  Each contracted
     chain of k curves leaves one A_k point, listed in ``mark_ranks``.
     Reads the graph into two maps once; sums each correction in ``int``
-    and reuses a survivor that meets no chain; stores through ``_store``.
+    and reuses a survivor that meets no chain; filters the graph's sorted
+    vertices and edges, so stores them through ``_store`` in order.
     """
     if chains is None:
         chains = _minus2_components(g)

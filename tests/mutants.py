@@ -61,6 +61,9 @@ REFUSED_CLI = "tests/test_refusals.py::test_each_command_line_exits_2_with_its_m
 GOLDEN = "tests/test_cli.py::test_cli_bytes_match_the_golden"
 CORNER = "tests/test_boundary_graph.py::TestBlowupCorner"
 SURGERY = "tests/test_boundary_graph.py::TestSurgeryBuildsWhatTheConstructorsWould"
+RESIDUALS = "tests/test_boundary_graph.py::test_scaled_residuals_match_the_reference"
+ORDER = "tests/test_boundary_graph.py::test_surgery_keeps_graphs_in_order"
+APPLY_BYTES = "tests/test_cli.py::TestGraphCommand::test_apply_then_contract_chains_bytes"
 
 MUTANTS = [
     # -- one wire-type rule
@@ -148,10 +151,10 @@ MUTANTS = [
         ["tests/test_boundary_graph.py::TestBlowdown::test_roundtrip_corner_edge"],
     ),
     (
-        "the store leaves the edges unsorted",
+        "build leaves the edges unsorted",
         BG,
-        "tuple(sorted(edges))",
-        "tuple(edges)",
+        "_store(sorted(vs), sorted(es),",
+        "_store(sorted(vs), es,",
         ["tests/test_boundary_graph.py::test_store_sorts_as_the_keyed_sort"],
     ),
     # -- surgery builds re-derived values unchecked, new values checked
@@ -172,8 +175,8 @@ MUTANTS = [
     (
         "the split edge keeps its multiplicity",
         BG,
-        "es.append(Edge._make((lo, hi, m - 1)))",
-        "es.append(e)",
+        "es.append(Edge._make((lo, hi, x.multiplicity - 1)))",
+        "es.append(x)",
         [f"{CORNER}::test_marked_points_shield_their_crossings"],
     ),
     (
@@ -186,7 +189,7 @@ MUTANTS = [
     (
         "a caller's id is not checked for use",
         BG,
-        "    if any(v.id == new_id for v in g.vertices):",
+        "    if new_id in g.ids():",
         "    if False:",
         [f"{SURGERY}::test_double_faults_keep_their_precedence"],
     ),
@@ -356,6 +359,55 @@ MUTANTS = [
         "return _witness(child, script + (next(_corners(g)),), m, index)",
         [f"{CHECK}::test_witnesses_off_the_first_corner_pass"],
     ),
+    # -- surgery keeps order, and the Calabi-Yau test stays in int
+    (
+        "the integral residuals drop 2 * nodes - 2",
+        BG,
+        "        res[vid] = 2 * nodes - 2 + (b - 1) * sq",
+        "        res[vid] = (b - 1) * sq",
+        [RESIDUALS],
+    ),
+    (
+        "the integral residuals let a Fraction through",
+        BG,
+        "        if type(sq) is not int or type(b) is not int:",
+        "        if False:",
+        [RESIDUALS],
+    ),
+    (
+        "a blow-up appends the new curve",
+        BG,
+        "    insort(vs, CurveVertex(eid, -1, coeff))",
+        "    vs.append(CurveVertex(eid, -1, coeff))",
+        [ORDER, APPLY_BYTES],
+    ),
+    (
+        "a blow-up appends its new edges",
+        BG,
+        "        insort(es, e)",
+        "        es.append(e)",
+        [ORDER, APPLY_BYTES],
+    ),
+    (
+        "the corner blow-up appends the split edge at the end",
+        BG,
+        "                if x.multiplicity > 1:\n"
+        "                    es.append(Edge._make((lo, hi, x.multiplicity - 1)))\n"
+        "            else:\n"
+        "                es.append(x)\n",
+        "            else:\n"
+        "                es.append(x)\n"
+        "        if e is not None and e.multiplicity > 1:\n"
+        "            es.append(Edge._make((lo, hi, e.multiplicity - 1)))\n",
+        [ORDER],
+    ),
+    (
+        "the blow-down appends its new pair edges",
+        BG,
+        "            insort(es, Edge(a, b, m))",
+        "            es.append(Edge(a, b, m))",
+        [ORDER],
+    ),
     # -- crepancy as the contracted curve's own residual
     (
         "the crepancy test accepts a nodal (-1)-curve",
@@ -460,6 +512,17 @@ EQUIVALENT = [
         "        if num := gain.get(v.id):",
         "        if (num := gain.get(v.id, 0)) is not None:",
         "a zero correction rebuilds an equal vertex in the same stored form; only time is lost",
+    ),
+    (
+        "weighted_isomorphic drops its early size check",
+        BG,
+        "    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):\n"
+        "        return False\n",
+        "",
+        "the label check and the matching refuse a pair of another size anyway; the check "
+        "saves time: the 225 ordered pairs of graph fixtures, with and without coefficients, "
+        "took 5.2-5.4 ms with it and 21.5-23.4 ms without (best of 30, three rounds, "
+        "Python 3.11.7), since four pairs with equal labels reach the matching without it",
     ),
 ]
 

@@ -12,6 +12,7 @@ import pytest
 import reference_core as ref
 from helpers import (
     COEFFS,
+    WITNESS_SQS,
     random_balanced_seed,
     random_crepant_blowup,
     random_marked_seed,
@@ -393,6 +394,11 @@ class TestReducedVolume:
         assert bg.reduced_volume(fixtures.load_fixture("p2.triangle")) == 9
 
 
+def _iso_labels(g: bg.BoundaryGraph) -> list:
+    """The labels ``weighted_isomorphic`` matches without coefficients."""
+    return sorted((v.self_int, v.nodes) for v in g.vertices)
+
+
 class TestIsomorphism:
     def test_relabelled_graphs_match(self):
         g1 = fixtures.load_fixture("p2.triangle")
@@ -417,6 +423,28 @@ class TestIsomorphism:
         g2 = build([("A", 0, 0), ("B", 0, 1)], [("A", "B")])
         assert bg.weighted_isomorphic(g1, g2)
         assert not bg.weighted_isomorphic(g1, g2, with_coeff=True)
+
+    def test_fixture_pairs(self):
+        # each graph fixture matches a relabelled copy of itself and no other
+        # fixture; the early size check stops most pairs, some of them with
+        # equal labels, which the matching would otherwise search
+        graphs = [fixtures.load_fixture(name) for name in fixtures.fixture_names()
+                  if fixtures.fixture_kind(name) == "graph"]
+        sizes, twins = 0, 0
+        for g1 in graphs:
+            new = {vid: f"R{k}" for k, vid in enumerate(reversed(g1.ids()))}
+            copy = build([(new[v.id], *v[1:]) for v in g1.vertices],
+                         [(new[e.a], new[e.b], e.multiplicity) for e in g1.edges],
+                         (), g1.picard_rank)
+            for with_coeff in (False, True):
+                assert bg.weighted_isomorphic(g1, copy, with_coeff)
+            for g2 in graphs:
+                if (len(g1.vertices), len(g1.edges)) != (len(g2.vertices), len(g2.edges)):
+                    sizes += 1
+                    twins += _iso_labels(g1) == _iso_labels(g2)
+                for with_coeff in (False, True):
+                    assert bg.weighted_isomorphic(g1, g2, with_coeff) == (g1 is g2)
+        assert sizes and twins
 
 
 class TestJson:
@@ -559,8 +587,9 @@ class TestBuild:
 
 
 def test_store_sorts_as_the_keyed_sort():
-    # ids and endpoint pairs are unique, so sorting the tuples themselves
-    # gives the order of a sort keyed on the id and on (a, b)
+    # build holds the one sort of a graph: ids and endpoint pairs are
+    # unique, so sorting the tuples themselves gives the order of a sort
+    # keyed on the id and on (a, b)
     rng = random.Random(20261019)
     names = [f"E{k}" for k in range(1, 13)] + ["A", "B", "C1", "C10", "C2"]
     sqs = (-2, -1, Fr(-1, 3), Fr(5, 2), 4)
@@ -573,9 +602,115 @@ def test_store_sorts_as_the_keyed_sort():
               if rng.random() < 0.4]
         rng.shuffle(vs)
         rng.shuffle(es)
-        g = bg._store(vs, es, (), rng.randint(1, 4))
+        g = build(vs, es, (), rng.randint(1, 4))
         assert g.vertices == tuple(sorted(vs, key=attrgetter("id")))
         assert g.edges == tuple(sorted(es, key=attrgetter("a", "b")))
+
+
+INT_SQS = tuple(s for s in WITNESS_SQS if type(s) is int)
+
+
+def _random_graph(rng: random.Random, sqs, coeffs) -> bg.BoundaryGraph:
+    """1-8 curves with ids in no particular order, fields drawn from
+    ``sqs`` and ``coeffs``, 0-2 nodes each, and random edges of
+    multiplicity 1-3: mostly not Calabi-Yau."""
+    ids = rng.sample(["A", "B", "C1", "C10", "C2", "E1", "E9", "F", "L2", "X"], rng.randint(1, 8))
+    vs = [(i, rng.choice(sqs), rng.choice(coeffs), rng.randint(0, 2)) for i in ids]
+    es = [(a, b, rng.randint(1, 3)) for a, b in combinations(ids, 2) if rng.random() < 0.4]
+    return build(vs, es, (), rng.randint(1, 4))
+
+
+def _int_fields(v: bg.CurveVertex) -> bool:
+    return type(v.self_int) is int and type(v.coeff) is int
+
+
+def _integral(g: bg.BoundaryGraph) -> bool:
+    return all(map(_int_fields, g.vertices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_scaled_residuals_match_the_reference(seed):
+    """The residuals, in int with their scale, against the Fraction oracle on
+    integral graphs (scale 1), fractional ones, and integral ones with one
+    Fraction at the first, a middle or the last vertex, where the integral
+    path gives way to the scaled one."""
+    rng = random.Random(seed)
+    integral = [
+        _random_graph(rng, INT_SQS, (-2, -1, 0, 1)),
+        rng.choice([fixtures.load_fixture("fig9.A1A2A5"), fixtures.load_fixture("p2.triangle")]),
+        random_balanced_seed(rng),
+        random_witness_fiber(rng),
+    ]
+    integral = [g for g in integral if _integral(g)]
+    fractional = [_random_graph(rng, WITNESS_SQS, COEFFS), random_marked_seed(rng),
+                  _contracted_chain(rng)]
+    fallback = []
+    for g in integral:
+        n = len(g.vertices)
+        for i in sorted({0, n // 2, n - 1}):
+            v = g.vertices[i]
+            if rng.randrange(2):
+                w = bg.CurveVertex(v.id, v.self_int + rng.choice(SQ_NUDGES[2:]), v.coeff, v.nodes)
+            else:
+                w = bg.CurveVertex(v.id, v.self_int, v.coeff - rng.choice(COEFFS[1:4]), v.nodes)
+            vs = g.vertices[:i] + (w,) + g.vertices[i + 1:]
+            fallback.append((build(vs, g.edges, g.marked_points, g.picard_rank), i))
+    for g, first in [(g, None) for g in integral + fractional] + fallback:
+        if first is not None:
+            assert [_int_fields(v) for v in g.vertices].index(False) == first
+        res, scale = bg._scaled_residuals(g)
+        assert type(scale) is int and all(type(r) is int for r in res.values()), g
+        assert scale == 1 or not _integral(g)
+        assert [(vid, Fr(res[vid], scale)) for vid in g.ids()] == ref.validate_cy(g), g
+
+
+def test_surgery_keeps_graphs_in_order():
+    """Random scripts of blow-ups and blow-downs from every graph fixture and
+    seeded graphs: each result keeps its vertices in id order and its edges
+    in (a, b) order, which surgery holds itself, with no sort."""
+    rng = random.Random(20261022)
+    graphs = [fixtures.load_fixture(name) for name in fixtures.fixture_names()
+              if fixtures.fixture_kind(name) == "graph"]
+    graphs += [random_balanced_seed(rng) for _ in range(30)]
+    graphs += [random_marked_seed(rng) for _ in range(30)]
+    seen = set()
+    for g in graphs:
+        for step in range(8):
+            # fresh E<k> ids, and ids that sort first, in between or last
+            new_id = rng.choice([None, None, f"A{step}", f"D{step}", f"E0{step}", f"Z{step}"])
+            downs = [v.id for v in g.vertices if v.self_int == -1]
+            kinds = ["node", "interior"] + ["edge"] * bool(g.edges) + ["down"] * 2 * bool(downs)
+            kind = rng.choice(kinds)
+            try:
+                if kind == "edge":
+                    e = rng.choice(g.edges)
+                    out = bg.blowup_corner(g, edge=(e.a, e.b), new_id=new_id)
+                    if e.multiplicity > 1 and g.edges[-1] != e:
+                        seen.add("split edge not last")
+                elif kind == "node":
+                    out = bg.blowup_corner(g, node=rng.choice(g.ids()), new_id=new_id)
+                elif kind == "interior":
+                    out = bg.blowup_interior(g, rng.choice(g.ids()), new_id=new_id)
+                else:
+                    out = bg.blowdown(g, rng.choice(downs))
+            except bg.GraphError:
+                continue  # a curve without a node, a shielded corner, an id in use, ...
+            assert out.vertices == tuple(sorted(out.vertices)), (kind, g)
+            assert out.edges == tuple(sorted(out.edges)), (kind, g)
+            if kind == "down":
+                pairs = {(e.a, e.b) for e in g.edges}
+                if any((e.a, e.b) not in pairs for e in out.edges[:-1]):
+                    seen.add("new pair edge not last")
+            else:
+                new = next(v.id for v in out.vertices if v.id not in g.ids())
+                if out.vertices[-1].id != new:
+                    seen.add("new curve not last")
+                if any(new in (e.a, e.b) for e in out.edges[:-1]):
+                    seen.add("new edge not last")
+            g = out
+    assert seen == {"split edge not last", "new pair edge not last", "new curve not last",
+                    "new edge not last"}
 
 
 @settings(max_examples=60, deadline=None)

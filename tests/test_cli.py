@@ -40,6 +40,8 @@ def _graph(**fields):
 # every graph fixture, as ``run`` printed them; a deliberate change of
 # output re-records the file
 CONTRACTIONS = json.loads((Path(__file__).parent / "golden" / "contract_chains.json").read_text())
+# one blow-up, then the contraction: its bytes show the order surgery stores
+APPLIED = json.loads((Path(__file__).parent / "golden" / "apply_contract_chains.json").read_text())
 
 
 def _k(k):
@@ -320,6 +322,20 @@ class TestGraphCommand:
         code, out, err = invoke(capsys, "graph", f"fixture:{name}", "--op", "contract-chains")
         assert ({"exit": code, "stdout": out}, err) == (CONTRACTIONS[name], "")
 
+    def test_every_graph_fixture_has_recorded_apply_bytes(self):
+        graphs = [n for n in fixtures.fixture_names() if fixtures.fixture_kind(n) == "graph"]
+        assert sorted(APPLIED) == graphs
+        steps = {tuple(sorted(step)) for want in APPLIED.values() for step in want["apply"]}
+        assert steps == {("edge", "op"), ("node", "op"), ("op", "vertex")}
+
+    @pytest.mark.parametrize("name", sorted(APPLIED))
+    def test_apply_then_contract_chains_bytes(self, capsys, name):
+        want = APPLIED[name]
+        code, out, err = invoke(capsys, "graph", f"fixture:{name}",
+                                "--apply", json.dumps(want["apply"]), "--op", "contract-chains")
+        assert ({"exit": code, "stdout": out}, err) == (
+            {"exit": want["exit"], "stdout": want["stdout"]}, "")
+
     def test_witness(self, capsys):
         data = invoke_json(capsys, "graph", "fixture:ex62.graph", "--op", "witness")
         assert data == {"witness": None}
@@ -428,6 +444,8 @@ PARSE_TOKENS = (
     + ["--op=witness", "--format=dot", "--rank=1", "--depth=x", "--help=1", "--out=",
        "--list=1", "--fo=text", "-h", "--help"]
     + ["--nope", "-x", "-1", "-", "A1", "extra", "", "fixture:p2.triangle", "[[1,0]]"]
+    # ints that int() reads and a table parser could misread
+    + [" 12 ", "1_0", "+3", "\u0663", "--depth= 2", "--cap=1_0", "--rank=+1"]
 )
 
 
