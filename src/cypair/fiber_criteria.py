@@ -400,6 +400,23 @@ def prop51_witness_search(
       those of two distinct steps of the script, and the second blow-up
       leaves a node between two exceptional curves, off every support.
 
+    The second layer builds only the corners of the first layer's
+    exceptional curve with an original.  A blow-up adds node masks (the
+    originals through a node) only at its new points: {X} and {Y} at a
+    corner of X and Y, {X} at a node of X, nothing for an exceptional
+    curve; its other nodes keep their masks.  So once the fiber and the
+    first layer have missed, no other second-layer child holds a witness:
+
+    - At a node of an original, every mask was the parent's and D^2 is no
+      larger, so a witness there would be one on the parent.
+    - At a corner of two originals X and Y, a witness that misses an old
+      mask is one on the parent.  One that misses {X} has m_X = 0 (or
+      m_Y = 0 for {Y}), and is a witness on the first-layer blow-up of
+      that same fiber corner, which has the masks {X} and {Y} and a D^2
+      no smaller, as it skips the parent's step.
+
+    So the search returns what the full breadth-first walk returns.
+
     The scan is over the integers: the Gram matrix of the original
     components is scaled by the common denominator of their
     self-intersections, which keeps the sign of every value.  The scale is
@@ -440,20 +457,29 @@ def prop51_witness_search(
     m = _divisor_witness(fiber, index, scale, coeff_cap)
     if m is not None:
         return _witness(fiber, (), m, index)
-    frontier = [((), fiber)]
-    for _ in range(min(max_blowups, 2)):
-        nxt = []
-        for script, g in frontier:
-            for target in _corners(g):
-                if target[0] == "edge":
-                    child = bg.blowup_corner(g, edge=target[1:])
-                else:
-                    child = bg.blowup_corner(g, node=target[1])
+    if max_blowups == 0:
+        return None
+    layer = []
+    for target in _corners(fiber):
+        if target[0] == "edge":
+            child = bg.blowup_corner(fiber, edge=target[1:])
+        else:
+            child = bg.blowup_corner(fiber, node=target[1])
+        m = _divisor_witness(child, index, scale, coeff_cap)
+        if m is not None:
+            return _witness(child, (target,), m, index)
+        layer.append((target, child))
+    if max_blowups == 1:
+        return None
+    # the second layer: only the corners of the new curve with an original,
+    # which are all edges, so walking g.edges keeps _corners order
+    for first, g in layer:
+        for e in g.edges:
+            if (e.a in index) != (e.b in index):
+                child = bg.blowup_corner(g, edge=(e.a, e.b))
                 m = _divisor_witness(child, index, scale, coeff_cap)
                 if m is not None:
-                    return _witness(child, script + (target,), m, index)
-                nxt.append((script + (target,), child))
-        frontier = nxt
+                    return _witness(child, (first, ("edge", e.a, e.b)), m, index)
     return None
 
 

@@ -17,8 +17,11 @@ copy with ``-x``, and puts the module back.  A row is
 - timed out when its tests run past ``TIMEOUT_S`` seconds, as a mutant
   that stalls a loop would; the run is killed.
 
-It exits 0 only when every row is killed.  pytest does not collect this
-file, since its name does not start with ``test_``.
+The ``EQUIVALENT`` rows are not run, but each snippet must still occur
+exactly once in its module; a row whose snippet does not is reported as
+stale.  It exits 0 only when every row is killed and no ``EQUIVALENT``
+row is stale.  pytest does not collect this file, since its name does not
+start with ``test_``.
 
 Each row is (name, module path under ``src/``, snippet, replacement,
 node ids).  A change that deletes or rewrites the code of a row updates
@@ -55,6 +58,8 @@ SITES = "tests/test_wire_types.py::test_each_site_refuses_with_its_class_and_mes
 SHAPES = f"{CONTRACT}::test_long_branched_and_closed_chains"
 SEARCH = "tests/test_fiber_criteria.py::TestWitnessSearch"
 BALANCE = "tests/test_fiber_criteria.py::TestBalanceCheckMatchesIsCalabiYau"
+PRUNED = "tests/test_fiber_criteria.py::TestPrunedSearchMatchesReference"
+TWO = "tests/test_fiber_criteria.py::TestTwoBlowupsSuffice"
 RANK_FIRST = "tests/test_wire_types.py::test_a_bad_fiber_rank_is_reported_before_the_node_is_read"
 REFUSED = "tests/test_refusals.py::test_each_site_refuses_with_its_class_and_message"
 REFUSED_CLI = "tests/test_refusals.py::test_each_command_line_exits_2_with_its_message"
@@ -355,9 +360,40 @@ MUTANTS = [
     (
         "the search records the last step at the first corner",
         FC,
-        "return _witness(child, script + (target,), m, index)",
-        "return _witness(child, script + (next(_corners(g)),), m, index)",
+        "return _witness(child, (first, (\"edge\", e.a, e.b)), m, index)",
+        "return _witness(child, (first, next(_corners(g))), m, index)",
         [f"{CHECK}::test_witnesses_off_the_first_corner_pass"],
+    ),
+    # -- the second layer builds only the blow-ups that can hold a witness
+    (
+        "the first layer scans no child",
+        FC,
+        "        m = _divisor_witness(child, index, scale, coeff_cap)\n"
+        "        if m is not None:\n"
+        "            return _witness(child, (target,), m, index)\n",
+        "",
+        [f"{SEARCH}::test_resolved_fiber_has_depth_one_witness"],
+    ),
+    (
+        "the first layer builds no node child",
+        FC,
+        "            child = bg.blowup_corner(fiber, node=target[1])\n",
+        "            continue\n",
+        [f"{SEARCH}::test_nodal_cubic_witness_at_depth_two"],
+    ),
+    (
+        "the second layer builds every corner of two curves",
+        FC,
+        "            if (e.a in index) != (e.b in index):",
+        "            if True:",
+        [f"{PRUNED}::test_two_layers_are_built_once"],
+    ),
+    (
+        "the second layer keeps the corners of two originals, not the new curve's",
+        FC,
+        "            if (e.a in index) != (e.b in index):",
+        "            if e.a in index and e.b in index:",
+        [f"{TWO}::test_nodal_curves_and_curve_pairs"],
     ),
     # -- surgery keeps order, and the Calabi-Yau test stays in int
     (
@@ -497,7 +533,8 @@ MUTANTS = [
 # Known equivalent mutants: no test can kill them, because the program's
 # output does not change.  Each is (name, module path under ``src/``,
 # snippet, replacement, reason), kept so that nobody tries them again;
-# they are not run.
+# they are not run, but a snippet that no longer occurs exactly once is
+# reported as stale.
 EQUIVALENT = [
     (
         "make_fan refuses more than one cyclic descent instead of any count but one",
@@ -549,6 +586,12 @@ def main() -> int:
         if run_tests(src, every_node) != 0:
             print("the rows' tests fail or time out on the unchanged source; nothing was checked")
             return 1
+        stale = 0
+        for name, module, snippet, _, _ in EQUIVALENT:
+            found = (src / module).read_text().count(snippet)
+            if found != 1:
+                stale += 1
+                print(f"stale: the snippet occurs {found} times in {module} {name} (equivalent row)")
         killed = 0
         for name, module, snippet, replacement, nodes in MUTANTS:
             path = src / module
@@ -566,8 +609,9 @@ def main() -> int:
                           1: "killed"}.get(code, f"broken: pytest exit code {code}")
             killed += status == "killed"
             print(f"{status:10} {name}")
-    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
-    return 0 if killed == len(MUTANTS) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed, {len(EQUIVALENT) - stale} of "
+          f"{len(EQUIVALENT)} equivalent rows current, in {time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(MUTANTS) and not stale else 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Fr
 from itertools import product
+from math import lcm
 
 import pytest
 import reference_witness
@@ -393,8 +394,10 @@ class TestPrunedSearchMatchesReference:
 
     def test_negative_definite_skip(self, monkeypatch):
         # ex62.graph at depth 4: the search stops after two layers, so it
-        # examines the root, its one child and that child's three children,
-        # and the negative-definite skip leaves one scan
+        # examines the root, its one child and two of that child's three
+        # children, the corners of the new curve with C1 and C2 (the corner
+        # of C1 and C2 holds no witness), and the negative-definite skip
+        # leaves one scan
         examined, scanned = [], []
         divisor_witness, first_divisor = fc._divisor_witness, fc._first_divisor
         monkeypatch.setattr(
@@ -404,23 +407,24 @@ class TestPrunedSearchMatchesReference:
             fc, "_first_divisor", lambda *a: scanned.append(1) or first_divisor(*a)
         )
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
-        assert (len(examined), len(scanned)) == (5, 1)
+        assert (len(examined), len(scanned)) == (4, 1)
 
     def test_two_layers_are_built_once(self, monkeypatch):
-        # ex62.graph at depth 4: the four blow-ups within two layers are
-        # built, each once, and none deeper
+        # ex62.graph at depth 4: the three blow-ups within two layers that
+        # can hold a witness are built, each once, and none deeper
         built = []
         blowup_corner = bg.blowup_corner
         monkeypatch.setattr(
             bg, "blowup_corner", lambda *a, **k: built.append(1) or blowup_corner(*a, **k)
         )
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
-        assert len(built) == 4
+        assert len(built) == 3
 
     def test_search_stops_at_the_first_witness(self, monkeypatch):
         # a 4-cycle with its witness at depth 2: the search returns as soon
         # as it scans it, having built the four graphs of the first layer
-        # and two of the second; finishing the layer first would build 24
+        # and one of the second, since the first child's first corner, of
+        # C1 and E2, is of two originals; finishing the layer would build 24
         g = bg.BoundaryGraph.build(
             [("C1", Fr(-5, 3), 1), ("E1", -1, 1), ("C2", Fr(-5, 3), 1), ("E2", -1, 1)],
             [("C1", "E1"), ("E1", "C2"), ("C2", "E2"), ("E2", "C1")],
@@ -434,7 +438,7 @@ class TestPrunedSearchMatchesReference:
             bg, "blowup_corner", lambda *a, **k: built.append(1) or blowup_corner(*a, **k)
         )
         assert fc.prop51_witness_search(g, 2) == want
-        assert len(built) == 6
+        assert len(built) == 5
 
 
 class TestCorners:
@@ -603,6 +607,106 @@ class TestTwoBlowupsSuffice:
             depth = rng.randint(2, 8)
             want = repr(fc.prop51_witness_search(g, 2, cap))
             assert repr(fc.prop51_witness_search(g, depth, cap)) == want, (g, depth, cap)
+
+
+def _blowup(g: bg.BoundaryGraph, target: tuple) -> bg.BoundaryGraph:
+    if target[0] == "edge":
+        return bg.blowup_corner(g, edge=target[1:])
+    return bg.blowup_corner(g, node=target[1])
+
+
+class TestSkippedChildrenHoldNoWitness:
+    """Two lemmas on corner blow-ups of a fiber: a child has no witness
+    whenever the graphs that the lemma's proof reads have none.
+
+    Rule 1 is a first-layer child at a node of the fiber.  Its proof reads
+    the fiber, whose node already had the child's one new mask; the search
+    still scans these children.  Rule 2, by which the search skips a
+    child, is a second-layer child at any corner but one of the new curve
+    with an original.  Its proof reads the parent, and at a corner of two
+    originals also the first-layer child at that corner of the fiber.
+    Corners come from the oracle's ``_boundary_nodes``, not the search's."""
+
+    def _check(self, graphs, caps=(1, 2, 3, 6)):
+        """The rules that fired, as (rule, whether the child's Gram matrix
+        is not negative definite, so that the scan ran on it)."""
+        fired = set()
+        for g in graphs:
+            try:
+                fc.prop51_witness_search(g, 0, 1)
+            except fc.PreconditionFailed:
+                continue
+            ids = g.ids()
+            index = {vid: i for i, vid in enumerate(ids)}
+            scale = lcm(*[v.self_int.denominator for v in g.vertices])
+            first = {t: _blowup(g, t) for t in reference_witness._boundary_nodes(g)}
+            skipped = {}  # first-layer target -> [(second-layer target, child)]
+            for t, h in first.items():
+                skipped[t] = [
+                    (u, _blowup(h, u)) for u in reference_witness._boundary_nodes(h)
+                    if u[0] == "node" or (u[1] in index) == (u[2] in index)
+                ]
+            definite = {}
+
+            def scanned(h):
+                if id(h) not in definite:
+                    definite[id(h)] = _negative_definite_by_fractions(_gram(h, ids))
+                return not definite[id(h)]
+
+            for cap in caps:
+                misses = {}
+
+                def miss(h):
+                    if id(h) not in misses:
+                        misses[id(h)] = fc._divisor_witness(h, index, scale, cap) is None
+                    return misses[id(h)]
+
+                if not miss(g):
+                    continue
+                for t, h in first.items():
+                    if t[0] == "node":
+                        assert miss(h), (g, cap, t)
+                        fired.add((1, scanned(h)))
+                    if not miss(h):
+                        continue
+                    for u, child in skipped[t]:
+                        if u[0] == "edge" and not miss(first[u]):
+                            continue
+                        assert miss(child), (g, cap, t, u)
+                        fired.add((2, scanned(child)))
+        return fired
+
+    def test_graph_fixtures(self):
+        fired = self._check(
+            fixtures.load_fixture(name)
+            for name in fixtures.fixture_names()
+            if fixtures.fixture_kind(name) == "graph"
+        )
+        assert fired == {(1, True), (2, False)}
+
+    def test_cycles(self):
+        fired = self._check(
+            _cycle(sqs) for k in (3, 4) for sqs in _bracelets(range(-4, 2), k)
+        )
+        # a cycle has no node, so only the second rule applies; where it
+        # does, the skipped child is negative definite
+        assert fired == {(2, False)}
+
+    def test_nodal_curves_and_curve_pairs(self):
+        graphs = [bg.BoundaryGraph.build([("B", s, 1, 1)], rho=1) for s in range(-4, 12)]
+        for a in range(-4, 4):
+            for b in range(-4, a + 1):
+                graphs.append(bg.BoundaryGraph.build(
+                    [("C1", a, 1), ("C2", b, 1)], [("C1", "C2", 2)], rho=2
+                ))
+                graphs.append(bg.BoundaryGraph.build([("B", a, 1, 1), ("C", b, 1, 1)], rho=2))
+        assert self._check(graphs) == {(1, True), (1, False), (2, False)}
+
+    def test_random_fibers(self):
+        # the one family here on which both rules skip a child that is scanned
+        rng = random.Random(20261021)
+        fired = self._check(random_witness_fiber(rng) for _ in range(300))
+        assert fired == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def _gram(g: bg.BoundaryGraph, ids) -> list[list]:
