@@ -119,9 +119,6 @@ class Edge(namedtuple("Edge", "a b multiplicity")):
             a, b = b, a
         return super().__new__(cls, a, b, multiplicity)
 
-    def other(self, v: str) -> str:
-        return self.b if v == self.a else self.a
-
 
 class MarkedPoint(namedtuple("MarkedPoint", "branches")):
     """A point where at least three boundary branches meet transversally."""
@@ -344,22 +341,19 @@ def divisor_square(g: BoundaryGraph, multiplicities: dict) -> Fraction:
 
     Under a blow-up at a point of multiplicity mu of the divisor, the
     value drops by mu^2 when restricted to the strict transforms of the
-    same components.
+    same components.  One pass over the vertices and one over the edges;
+    the witness checker calls it, so it shares nothing with the search.
     """
-    total = sum((m * m * g.vertex(c).self_int for c, m in multiplicities.items()), Fraction(0))
-    for a, b in combinations(sorted(multiplicities), 2):
-        total += 2 * multiplicities[a] * multiplicities[b] * g.intersection(a, b)
+    squares = {v.id: v.self_int for v in g.vertices}
+    total = Fraction(0)
+    for c, m in multiplicities.items():
+        if c not in squares:
+            raise NoSuchVertex(f"no vertex {c!r}")
+        total += m * m * squares[c]
+    for a, b, k in g.edges:
+        if a in multiplicities and b in multiplicities:
+            total += 2 * multiplicities[a] * multiplicities[b] * k
     return total
-
-
-def reduced_volume(g: BoundaryGraph, components=None) -> Fraction:
-    """``divisor_square`` of the sum of the given components, each once.
-
-    Defaults to the coefficient-one reduced part.
-    """
-    if components is None:
-        components = [v.id for v in g.vertices if v.coeff == 1]
-    return divisor_square(g, dict.fromkeys(components, 1))
 
 
 # -- exceptional ids -------------------------------------------------------

@@ -332,6 +332,8 @@ def _divisor_witness(g: bg.BoundaryGraph, index: dict, scale: int, cap: int) -> 
     which keeps its sign exact.  Each boundary node has the bitmask of the
     originals through it: an edge its original endpoints, a self-node its
     own curve.  A divisor is allowed while some mask misses its support.
+    A node between two exceptional curves has mask 0, which misses every
+    support, so on a graph with such a node every divisor is allowed.
     """
     originals = [v for v in g.vertices if v.id in index]
     gram = [[0] * len(index) for _ in index]
@@ -400,12 +402,19 @@ def prop51_witness_search(
       those of two distinct steps of the script, and the second blow-up
       leaves a node between two exceptional curves, off every support.
 
+    A blow-up adds node masks (the originals through a node) only at its
+    new points: {X} and {Y} at a corner of X and Y, {X} at a node of X,
+    nothing for an exceptional curve; its other nodes keep their masks.
+    Two rules follow.
+
+    The first layer scans only its children at edges.  A child at a node
+    of X has the one new mask {X}, which was that node's own, and a D^2
+    no larger, so once the fiber has missed it holds no witness.  It is
+    built only for the second layer, so a depth-1 search builds none.
+
     The second layer builds only the corners of the first layer's
-    exceptional curve with an original.  A blow-up adds node masks (the
-    originals through a node) only at its new points: {X} and {Y} at a
-    corner of X and Y, {X} at a node of X, nothing for an exceptional
-    curve; its other nodes keep their masks.  So once the fiber and the
-    first layer have missed, no other second-layer child holds a witness:
+    exceptional curve with an original.  Once the fiber and the first
+    layer have missed, no other second-layer child holds a witness:
 
     - At a node of an original, every mask was the parent's and D^2 is no
       larger, so a witness there would be one on the parent.
@@ -460,17 +469,19 @@ def prop51_witness_search(
     if max_blowups == 0:
         return None
     layer = []
-    for target in _corners(fiber):
-        if target[0] == "edge":
-            child = bg.blowup_corner(fiber, edge=target[1:])
-        else:
-            child = bg.blowup_corner(fiber, node=target[1])
+    for e in fiber.edges:
+        target = ("edge", e.a, e.b)
+        child = bg.blowup_corner(fiber, edge=target[1:])
         m = _divisor_witness(child, index, scale, coeff_cap)
         if m is not None:
             return _witness(child, (target,), m, index)
         layer.append((target, child))
     if max_blowups == 1:
         return None
+    # the children at nodes hold no witness, but the second layer reads them
+    for v in fiber.vertices:
+        if v.nodes:
+            layer.append((("node", v.id), bg.blowup_corner(fiber, node=v.id)))
     # the second layer: only the corners of the new curve with an original,
     # which are all edges, so walking g.edges keeps _corners order
     for first, g in layer:

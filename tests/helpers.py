@@ -235,3 +235,9 @@ def random_coefficient_one_graph(rng: random.Random) -> bg.BoundaryGraph:
         points,
         rho=len(vs) + 1,
     )
+
+
+def gram_matrix(g: bg.BoundaryGraph, ids) -> list[list]:
+    """The intersection matrix of the curves ``ids`` of ``g``, in that
+    order, read entry by entry through ``vertex`` and ``intersection``."""
+    return [[g.vertex(a).self_int if a == b else g.intersection(a, b) for b in ids] for a in ids]

@@ -364,9 +364,10 @@ MUTANTS = [
         "return _witness(child, (first, next(_corners(g))), m, index)",
         [f"{CHECK}::test_witnesses_off_the_first_corner_pass"],
     ),
-    # -- the second layer builds only the blow-ups that can hold a witness
+    # -- the first layer scans only its edge children, and the second layer
+    # builds only the blow-ups that can hold a witness
     (
-        "the first layer scans no child",
+        "the first layer scans no edge child",
         FC,
         "        m = _divisor_witness(child, index, scale, coeff_cap)\n"
         "        if m is not None:\n"
@@ -377,9 +378,35 @@ MUTANTS = [
     (
         "the first layer builds no node child",
         FC,
-        "            child = bg.blowup_corner(fiber, node=target[1])\n",
+        '            layer.append((("node", v.id), bg.blowup_corner(fiber, node=v.id)))\n',
         "            continue\n",
         [f"{SEARCH}::test_nodal_cubic_witness_at_depth_two"],
+    ),
+    (
+        "the first layer scans its node children",
+        FC,
+        '            layer.append((("node", v.id), bg.blowup_corner(fiber, node=v.id)))\n',
+        "            child = bg.blowup_corner(fiber, node=v.id)\n"
+        "            if (m := _divisor_witness(child, index, scale, coeff_cap)) is not None:\n"
+        '                return _witness(child, (("node", v.id),), m, index)\n'
+        '            layer.append((("node", v.id), child))\n',
+        [f"{PRUNED}::test_node_children_are_built_not_scanned"],
+    ),
+    (
+        "a depth-1 search builds the node children",
+        FC,
+        "    if max_blowups == 1:\n"
+        "        return None\n"
+        "    # the children at nodes hold no witness, but the second layer reads them\n"
+        "    for v in fiber.vertices:\n"
+        "        if v.nodes:\n"
+        '            layer.append((("node", v.id), bg.blowup_corner(fiber, node=v.id)))\n',
+        "    for v in fiber.vertices:\n"
+        "        if v.nodes:\n"
+        '            layer.append((("node", v.id), bg.blowup_corner(fiber, node=v.id)))\n'
+        "    if max_blowups == 1:\n"
+        "        return None\n",
+        [f"{PRUNED}::test_node_children_are_built_not_scanned"],
     ),
     (
         "the second layer builds every corner of two curves",
@@ -394,6 +421,14 @@ MUTANTS = [
         "            if (e.a in index) != (e.b in index):",
         "            if e.a in index and e.b in index:",
         [f"{TWO}::test_nodal_curves_and_curve_pairs"],
+    ),
+    # -- the divisor square in one pass over the vertices and one over the edges
+    (
+        "divisor_square counts each crossing of two curves once",
+        BG,
+        "            total += 2 * multiplicities[a] * multiplicities[b] * k",
+        "            total += multiplicities[a] * multiplicities[b] * k",
+        ["tests/test_certificates.py::TestDivisorSquare::test_matches_the_gram_form"],
     ),
     # -- surgery keeps order, and the Calabi-Yau test stays in int
     (

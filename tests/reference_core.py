@@ -25,6 +25,11 @@ from itertools import combinations
 from cypair import boundary_graph as bg
 
 
+def _other(e: bg.Edge, v: str) -> str:
+    """The end of ``e`` that is not ``v``."""
+    return e.b if v == e.a else e.a
+
+
 def validate_cy(g: bg.BoundaryGraph) -> list[tuple[str, Fraction]]:
     """Adjunction residual of each vertex, in id order.
 
@@ -39,7 +44,7 @@ def validate_cy(g: bg.BoundaryGraph) -> list[tuple[str, Fraction]]:
     for v in g.vertices:
         r = Fraction(2 * v.nodes - 2) - v.self_int + v.coeff * v.self_int
         for e in g.edges_at(v.id):
-            r += coeff[e.other(v.id)] * e.multiplicity
+            r += coeff[_other(e, v.id)] * e.multiplicity
         out.append((v.id, r))
     return out
 
@@ -131,7 +136,7 @@ def blowdown(g: bg.BoundaryGraph, vertex: str) -> bg.BoundaryGraph:
     if any(vertex in p.branches for p in g.marked_points):
         raise bg.InvalidGraph(f"{vertex!r} appears in a marked point")
     incident = g.edges_at(vertex)
-    mults = {e.other(vertex): e.multiplicity for e in incident}
+    mults = {_other(e, vertex): e.multiplicity for e in incident}
     vs = []
     for w in g.vertices:
         if w.id == vertex:
@@ -163,7 +168,7 @@ def is_crepant_blowdown(g: bg.BoundaryGraph, vertex: str) -> bool:
     if v.self_int != -1 or v.nodes != 0:
         return False
     expected = sum(
-        (g.vertex(e.other(vertex)).coeff * e.multiplicity for e in g.edges_at(vertex)),
+        (g.vertex(_other(e, vertex)).coeff * e.multiplicity for e in g.edges_at(vertex)),
         Fraction(-1),
     )
     return v.coeff == expected

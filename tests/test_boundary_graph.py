@@ -376,22 +376,27 @@ class TestContractChains:
 
 
 class TestReducedVolume:
+    """The reduced volume, the square of the sum of the given curves each
+    once, as ``divisor_square`` with every multiplicity one."""
+
     def test_drops_by_m_squared(self):
         g = build([("B", 5, 1, 1)])
-        assert bg.reduced_volume(g) == 5
+        assert bg.divisor_square(g, {"B": 1}) == 5
         up = bg.blowup_corner(g, node="B")
-        assert bg.reduced_volume(up, ["B"]) == 5 - 4
+        assert bg.divisor_square(up, {"B": 1}) == 5 - 4
         g2 = build([("B", 9, 1, 1)])
-        assert bg.reduced_volume(bg.blowup_interior(g2, "B"), ["B"]) == 9 - 1
+        assert bg.divisor_square(bg.blowup_interior(g2, "B"), {"B": 1}) == 9 - 1
         # an edge corner is also a double point of the reduced boundary
         tri = fixtures.load_fixture("p2.triangle")
-        original = ["L1", "L2", "L3"]
-        assert bg.reduced_volume(tri, original) == 9
+        original = dict.fromkeys(["L1", "L2", "L3"], 1)
+        assert bg.divisor_square(tri, original) == 9
         up2 = bg.blowup_corner(tri, edge=("L1", "L2"))
-        assert bg.reduced_volume(up2, original) == 9 - 4
+        assert bg.divisor_square(up2, original) == 9 - 4
 
     def test_triangle(self):
-        assert bg.reduced_volume(fixtures.load_fixture("p2.triangle")) == 9
+        tri = fixtures.load_fixture("p2.triangle")
+        reduced = {v.id: 1 for v in tri.vertices if v.coeff == 1}
+        assert bg.divisor_square(tri, reduced) == 9
 
 
 def _iso_labels(g: bg.BoundaryGraph) -> list:

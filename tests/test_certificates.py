@@ -14,7 +14,12 @@ import pytest
 from cypair import boundary_graph as bg
 from cypair import fiber_criteria as fc
 from cypair import fixtures
-from helpers import random_witness_fiber
+from helpers import (
+    gram_matrix,
+    random_balanced_seed,
+    random_crepant_blowup,
+    random_witness_fiber,
+)
 
 # loaders, called inside the tests: the module collects even when building
 # a graph fails, so that a mutant of ``build`` can name these tests
@@ -28,12 +33,33 @@ CUBIC_WITNESS = fc.Witness(
 
 
 class TestDivisorSquare:
-    def test_all_ones_is_the_reduced_volume(self):
-        for name in fixtures.fixture_names():
-            if fixtures.fixture_kind(name) == "graph":
-                g = fixtures.load_fixture(name)
-                ones = {v.id: 1 for v in g.vertices if v.coeff == 1}
-                assert bg.divisor_square(g, ones) == bg.reduced_volume(g), name
+    def test_matches_the_gram_form(self):
+        # m^T G m, with G read entry by entry: on every graph fixture and on
+        # seeded graphs with fractional self-intersections and coefficients,
+        # for the coefficient-one curves each once, then for random
+        # multiplicities on random sets of curves
+        rng = random.Random(20261031)
+        graphs = [
+            fixtures.load_fixture(name)
+            for name in fixtures.fixture_names()
+            if fixtures.fixture_kind(name) == "graph"
+        ]
+        graphs += [random_witness_fiber(rng) for _ in range(40)]
+        for _ in range(40):
+            g = random_balanced_seed(rng)
+            for _ in range(rng.randint(0, 3)):
+                g, _ = random_crepant_blowup(rng, g)
+            graphs.append(g)
+        for g in graphs:
+            ids = g.ids()
+            gram = gram_matrix(g, ids)
+            draws = [{v.id: 1 for v in g.vertices if v.coeff == 1}]
+            for _ in range(5):
+                draws.append({c: rng.randint(0, 6) for c in ids if rng.randrange(3)})
+            for m in draws:
+                ms = [m.get(c, 0) for c in ids]
+                want = sum(x * row[j] * ms[j] for x, row in zip(ms, gram) for j in range(len(ids)))
+                assert bg.divisor_square(g, m) == want, (g, m)
 
     def test_multiplicities_scale_the_form(self):
         # (m1 C1 + m2 C2)^2 = m1^2 C1^2 + 2 m1 m2 C1.C2 + m2^2 C2^2

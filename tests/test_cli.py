@@ -753,7 +753,7 @@ class TestFixtureShapes:
         ids = {v.id for v in boundary}
         for v in boundary:
             deg = sum(
-                e.multiplicity for e in g.edges_at(v.id) if e.other(v.id) in ids
+                e.multiplicity for e in g.edges_at(v.id) if (e.b if e.a == v.id else e.a) in ids
             )
             assert deg == 2
 

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 import reference_witness
-from helpers import random_coefficient_one_graph, random_witness_fiber
+from helpers import gram_matrix, random_coefficient_one_graph, random_witness_fiber
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -420,6 +420,27 @@ class TestPrunedSearchMatchesReference:
         assert fc.prop51_witness_search(fixtures.load_fixture("ex62.graph"), 4) is None
         assert len(built) == 3
 
+    def test_node_children_are_built_not_scanned(self, monkeypatch):
+        # p2.nodal_cubic has one corner, its node: the child there holds no
+        # witness, so depth 1 builds nothing and scans the cubic alone, and
+        # depth 2 builds that child only to blow up its corner with the cubic
+        cubic = fixtures.load_fixture("p2.nodal_cubic")
+        want = reference_witness.prop51_witness_search(cubic, 2)
+        built, examined = [], []
+        blowup_corner, divisor_witness = bg.blowup_corner, fc._divisor_witness
+        monkeypatch.setattr(
+            bg, "blowup_corner", lambda *a, **k: built.append(1) or blowup_corner(*a, **k)
+        )
+        monkeypatch.setattr(
+            fc, "_divisor_witness", lambda *a: examined.append(1) or divisor_witness(*a)
+        )
+        assert fc.prop51_witness_search(cubic, 1) is None
+        assert (len(built), len(examined)) == (0, 1)
+        built.clear()
+        examined.clear()
+        assert fc.prop51_witness_search(cubic, 2) == want
+        assert (len(built), len(examined)) == (2, 2)
+
     def test_search_stops_at_the_first_witness(self, monkeypatch):
         # a 4-cycle with its witness at depth 2: the search returns as soon
         # as it scans it, having built the four graphs of the first layer
@@ -621,9 +642,9 @@ class TestSkippedChildrenHoldNoWitness:
 
     Rule 1 is a first-layer child at a node of the fiber.  Its proof reads
     the fiber, whose node already had the child's one new mask; the search
-    still scans these children.  Rule 2, by which the search skips a
-    child, is a second-layer child at any corner but one of the new curve
-    with an original.  Its proof reads the parent, and at a corner of two
+    builds these children for the second layer but scans none of them.
+    Rule 2, by which the search skips a child, is a second-layer child at
+    any corner but one of the new curve with an original.  Its proof reads the parent, and at a corner of two
     originals also the first-layer child at that corner of the fiber.
     Corners come from the oracle's ``_boundary_nodes``, not the search's."""
 
@@ -650,7 +671,7 @@ class TestSkippedChildrenHoldNoWitness:
 
             def scanned(h):
                 if id(h) not in definite:
-                    definite[id(h)] = _negative_definite_by_fractions(_gram(h, ids))
+                    definite[id(h)] = _negative_definite_by_fractions(gram_matrix(h, ids))
                 return not definite[id(h)]
 
             for cap in caps:
@@ -709,11 +730,6 @@ class TestSkippedChildrenHoldNoWitness:
         assert fired == {(1, True), (1, False), (2, True), (2, False)}
 
 
-def _gram(g: bg.BoundaryGraph, ids) -> list[list]:
-    """The intersection matrix of the curves ``ids`` of ``g``, in that order."""
-    return [[g.vertex(a).self_int if a == b else g.intersection(a, b) for b in ids] for a in ids]
-
-
 def _corner_blowups(g: bg.BoundaryGraph) -> list[bg.BoundaryGraph]:
     """``g`` blown up at each of its corners: every edge and every node."""
     ups = [bg.blowup_corner(g, edge=(e.a, e.b)) for e in g.edges]
@@ -731,14 +747,14 @@ class TestNegativeDefiniteRoots:
         roots = 0
         for g in graphs:
             ids = g.ids()
-            if not _negative_definite_by_fractions(_gram(g, ids)):
+            if not _negative_definite_by_fractions(gram_matrix(g, ids)):
                 continue
             roots += 1
             layer = [g]
             for _ in range(2):
                 layer = [h for parent in layer for h in _corner_blowups(parent)]
                 for h in layer:
-                    assert _negative_definite_by_fractions(_gram(h, ids)), (g, h)
+                    assert _negative_definite_by_fractions(gram_matrix(h, ids)), (g, h)
             for cap in caps:
                 assert not reference_witness.has_witness(g, cap), (g, cap)
                 for depth in range(5):

@@ -11,6 +11,7 @@ import cypair
 from cypair import boundary_graph as bg
 from cypair import cli
 from cypair import gdp_atlas as atlas
+from cypair import lattice_fan as lf
 
 build = bg.BoundaryGraph.build
 
@@ -48,6 +49,10 @@ SITES = [
      atlas.InconsistentSpec, "A-ranks must be positive"),
     ("decide_pair boundary", lambda: atlas.decide_pair(atlas.PairSpec.build("A1", "nodal")),
      atlas.InconsistentSpec, "unknown boundary shape 'nodal'"),
+    # make_fan builds only complete fans, so a raw one-ray Fan2 is the way in
+    ("star_subdivide interior",
+     lambda: lf.star_subdivide(lf.Fan2((lf.RayVector(1, 0),)), (-1, 0)),
+     lf.NotInteriorToCone, "ray (-1, 0) is not interior to any cone"),
     ("cypair attribute", lambda: cypair.nope,
      AttributeError, "module 'cypair' has no attribute 'nope'"),
 ]
