@@ -28,7 +28,7 @@ is given.
 The value types here and in the other modules are ``namedtuple``
 subclasses with empty ``__slots__``: their repr, hash, ordering and
 same-class equality are those of the tuple of their fields, and fields
-cannot be set.  Three tuple traits remain:
+cannot be set.  Two tuple traits remain:
 
 - A record equals the plain tuple of its fields.
 - ``_make`` and ``_replace`` skip ``__new__`` and its checks.  Surgery on
@@ -36,8 +36,6 @@ cannot be set.  Three tuple traits remain:
   kept curves and edges, whose invariants hold by construction; every new
   value goes through its constructor.  ``_store`` states the same rule
   for the graph.
-- ``Fan2.__len__`` breaks ``_make`` and ``_replace`` on ``Fan2``, so do
-  not call either on it.
 """
 
 from __future__ import annotations

@@ -45,16 +45,17 @@ def _style(v: bgm.CurveVertex) -> str:
 def emit_dot(g: bgm.BoundaryGraph) -> str:
     """Deterministic DOT rendering of a dual graph.
 
-    Vertices are sorted by id and labelled "id (sq)"; (-2)-curves with
-    coefficient one are solid, (-1)-curves dashed, other coefficient-one
-    curves bold and everything else dotted.  Edge labels carry the
-    multiplicities.  Equal graphs produce byte-identical output.
+    Vertices come in id order and edges in (a, b) order, as ``build``
+    and surgery store them.  A vertex is labelled "id (sq)"; (-2)-curves
+    with coefficient one are solid, (-1)-curves dashed, other
+    coefficient-one curves bold and everything else dotted.  Edge labels
+    carry the multiplicities.  Equal graphs produce byte-identical output.
     """
     lines = ["graph boundary {"]
-    for v in sorted(g.vertices, key=lambda v: v.id):
+    for v in g.vertices:
         label = f"{v.id} ({rational_to_json(v.self_int)})"
         lines.append(f'  "{v.id}" [label="{label}" style={_style(v)}];')
-    for e in sorted(g.edges):
+    for e in g.edges:
         lines.append(f'  "{e.a}" -- "{e.b}" [label={e.multiplicity}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

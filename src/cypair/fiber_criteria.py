@@ -441,23 +441,12 @@ def prop51_witness_search(
     not log canonical).  ``max_blowups`` must be at least 0 and
     ``coeff_cap`` at least 1; anything less would search nothing and
     report a false "no witness".
-
-    Once every coefficient is one, balanced means that each curve meets
-    the rest of the boundary twice, with nodes counted twice, so the
-    balance check is one pass in ``int`` that reads no self-intersection.
-    Proof: with b = 1 for every curve, the residual (2 delta - 2 - c) +
-    b c + sum_w b_w m_w of a curve with self-intersection c reduces to
-    2 delta - 2 + sum_w m_w, since c cancels.
     """
     if max_blowups < 0 or coeff_cap < 1:
         raise PreconditionFailed("witness search needs max_blowups >= 0 and coeff_cap >= 1")
     if any(v.coeff != 1 for v in fiber.vertices):
         raise PreconditionFailed("witness search needs all boundary coefficients equal to 1")
-    total = {v.id: 2 * v.nodes - 2 for v in fiber.vertices}
-    for e in fiber.edges:
-        total[e.a] += e.multiplicity
-        total[e.b] += e.multiplicity
-    if any(total.values()):
+    if not bg.is_calabi_yau(fiber):
         raise PreconditionFailed("witness search needs a Calabi-Yau balanced graph")
     if fiber.marked_points:
         raise PreconditionFailed("witness search needs a log canonical graph: no marked points")

@@ -89,9 +89,6 @@ class Fan2(namedtuple("Fan2", "rays")):
 
     __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.rays)
-
 
 def _as_ray(v) -> RayVector:
     if isinstance(v, RayVector):

@@ -320,27 +320,13 @@ MUTANTS = [
         "",
         ["tests/test_fiber_criteria.py::TestWeightedCorner::test_weights_must_be_positive"],
     ),
-    # -- the search's balance check on node counts and multiplicities
+    # -- the search's balance precondition, decided by is_calabi_yau
     (
-        "the balance check tests the sum of the totals, not each one",
+        "the search skips its balance check",
         FC,
-        "    if any(total.values()):",
-        "    if sum(total.values()):",
-        [f"{SEARCH}::test_requires_balance"],
-    ),
-    (
-        "the balance check counts an edge at one end only",
-        FC,
-        "        total[e.b] += e.multiplicity\n",
-        "",
-        [f"{BALANCE}::test_random_coefficient_one_graphs"],
-    ),
-    (
-        "the balance check drops the node term",
-        FC,
-        "    total = {v.id: 2 * v.nodes - 2 for v in fiber.vertices}",
-        "    total = {v.id: -2 for v in fiber.vertices}",
-        [f"{BALANCE}::test_random_coefficient_one_graphs"],
+        "    if not bg.is_calabi_yau(fiber):",
+        "    if False:",
+        [f"{SEARCH}::test_requires_balance", f"{BALANCE}::test_random_coefficient_one_graphs"],
     ),
     # -- the witness search, caught by the checker
     (
@@ -421,6 +407,14 @@ MUTANTS = [
         "            if (e.a in index) != (e.b in index):",
         "            if e.a in index and e.b in index:",
         [f"{TWO}::test_nodal_curves_and_curve_pairs"],
+    ),
+    # -- edge masks when the new curve is an edge's first end
+    (
+        "an edge whose first end is a new curve gets the mask 0",
+        FC,
+        "            masks.add(1 << j if j >= 0 else 0)",
+        "            masks.add(1 << j if j >= 0 and e.a in index else 0)",
+        [f"{PRUNED}::test_curves_named_after_the_new_curves"],
     ),
     # -- the divisor square in one pass over the vertices and one over the edges
     (

@@ -321,9 +321,10 @@ def _small_search(rng: random.Random, g: bg.BoundaryGraph) -> tuple[int, int]:
 
 
 class TestBalanceCheckMatchesIsCalabiYau:
-    """The search checks balance in one pass over node counts and
-    multiplicities; ``is_calabi_yau`` and the oracle's search, which calls
-    it, are the reference."""
+    """The search decides balance by calling ``is_calabi_yau``; on
+    coefficient-one graphs, fractional self-intersections included, it
+    refuses exactly the graphs that ``is_calabi_yau`` rejects and otherwise
+    agrees with the oracle's search."""
 
     def test_random_coefficient_one_graphs(self):
         rng = random.Random(20261020)
@@ -386,6 +387,26 @@ class TestPrunedSearchMatchesReference:
                 assert _search_outcome(fc.prop51_witness_search, g, depth, 6) == (
                     _search_outcome(reference_witness.prop51_witness_search, g, depth, 6)
                 )
+
+    def test_curves_named_after_the_new_curves(self):
+        # ids that sort after E1, E2, ...: a blow-up's new curve is then the
+        # first end of its edges with the originals, an order no other
+        # family of this suite reaches past depth 0
+        graphs = [bg.BoundaryGraph.build([("Z", s, 1, 1)], rho=1) for s in range(-4, 12)]
+        for a in range(-4, 4):
+            for b in range(-4, a + 1):
+                graphs.append(bg.BoundaryGraph.build(
+                    [("Z1", a, 1), ("Z2", b, 1)], [("Z1", "Z2", 2)], rho=2
+                ))
+        found = 0
+        for g in graphs:
+            for depth in (1, 2):
+                for cap in (1, 2, 3, 6):
+                    got = _search_outcome(fc.prop51_witness_search, g, depth, cap)
+                    want = _search_outcome(reference_witness.prop51_witness_search, g, depth, cap)
+                    assert got == want, (g, depth, cap)
+                    found += got[1] is not None
+        assert found == 196
 
     def test_empty_graph_has_no_witness(self):
         g = bg.BoundaryGraph.build([], rho=1)

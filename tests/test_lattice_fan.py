@@ -319,7 +319,7 @@ class TestFanMatchesReference:
         before = self.assert_same(lf.p1_projection, ref.p1_projection, fan, form)
         seen.add(("projection", before[0] == "value"))
         if got[0] == "value":
-            seen.add(("inserted", len(got[1]) - len(fan)))
+            seen.add(("inserted", len(got[1].rays) - len(fan.rays)))
             self.assert_same(lf.p1_projection, ref.p1_projection, got[1], form)
 
     def test_random_fans(self):
