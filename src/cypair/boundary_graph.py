@@ -563,14 +563,14 @@ def is_crepant_blowdown(g: BoundaryGraph, vertex: str) -> bool:
 # -- A_n arithmetic ---------------------------------------------------------
 
 
-def resolve_An_at_node(B_sq, n: int, base_rank: int = 1) -> BoundaryGraph:
+def resolve_An_at_node(B_sq, n: int) -> BoundaryGraph:
     """Minimal resolution of an A_n point sitting at the node of a curve B.
 
     Returns the dual graph of the resolved pair: the strict transform with
     self-intersection B^2 - 2 and no node, plus a chain E1..En of
     (-2)-curves, everything with coefficient one.  The two branches of the
     node hit the two chain ends (for n = 1, the single chain curve twice).
-    The Picard rank is base_rank + n.
+    The Picard rank is 1 + n: one class for the surface B lies on, one per Ei.
     """
     if n < 1:
         raise InvalidGraph("n must be at least 1")
@@ -581,7 +581,7 @@ def resolve_An_at_node(B_sq, n: int, base_rank: int = 1) -> BoundaryGraph:
     else:
         es = [("B", "E1", 1), ("B", f"E{n}", 1)]
         es += [(f"E{i}", f"E{i+1}", 1) for i in range(1, n)]
-    return BoundaryGraph.build(vs, es, rho=base_rank + n)
+    return BoundaryGraph.build(vs, es, rho=1 + n)
 
 
 class ChainContraction(namedtuple("ChainContraction", "singular mark_ranks")):
@@ -628,58 +628,38 @@ def _minus2_components(g: BoundaryGraph) -> list[list[str]]:
 
 
 def _check_chain(chain: list[str], vertex: dict, meet: dict) -> None:
-    if len(set(chain)) != len(chain) or not chain:
-        raise NotMinusTwoChain("chain must list distinct vertices")
-    coeffs = set()
     for vid in chain:
-        v = vertex.get(vid)
-        if v is None:
-            raise NoSuchVertex(f"no vertex {vid!r}")
-        if v.self_int != -2:
-            raise NotMinusTwoChain(f"{vid!r} has self-intersection {v.self_int}, not -2")
-        if v.nodes:
+        if vertex[vid].nodes:
             raise NotMinusTwoChain(f"{vid!r} carries nodes")
-        coeffs.add(v.coeff)
-    if len(coeffs) > 1:
+    if len({vertex[vid].coeff for vid in chain}) > 1:
         raise NotMinusTwoChain("chain coefficients differ")
     for a, b in zip(chain, chain[1:]):
-        if meet.get((a, b)) != 1:
+        if meet[a, b] != 1:
             raise NotMinusTwoChain(f"{a!r} and {b!r} are not chain neighbours")
-    for i, a in enumerate(chain):
-        for b in chain[i + 2:]:
-            if (a, b) in meet:
-                raise NotMinusTwoChain("chain has a chord")
 
 
-def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
-    """Contract chains of (-2)-curves to A_k singular-point marks.
+def contract_minus2_chains(g: BoundaryGraph) -> ChainContraction:
+    """Contract every maximal chain of (-2)-curves to an A_k singular point.
 
-    Without an explicit ``chains`` argument every maximal chain of
-    (-2)-vertices is taken.  The returned singular model keeps the
+    That is the anticanonical model: a (-2)-curve C left out has K.C = 0,
+    so a partial contraction is not del Pezzo.  The singular model keeps the
     surviving curves with their self-intersections corrected by the
-    rational pull-back contribution of each chain (so they may become
-    non-integral) and the edges among them; where two survivors meet at a
-    new singular point, that intersection is not recorded.  Each contracted
-    chain of k curves leaves one A_k point, listed in ``mark_ranks``.
-    Reads the graph into two maps once; sums each correction in ``int``
-    and reuses a survivor that meets no chain; filters the graph's sorted
-    vertices and edges, so stores them through ``_store`` in order.
+    rational pull-back of each chain (so they may become non-integral) and
+    the edges among them; where two survivors meet at a new singular point,
+    that intersection is not recorded.  Each chain of k curves leaves one
+    A_k point in ``mark_ranks``.  Every component's shape is checked before
+    any chain's nodes, coefficients and links.  Reads the graph into two
+    maps once; sums each correction in ``int`` and reuses a survivor that
+    meets no chain; filters the graph's sorted vertices and edges, so
+    stores them through ``_store`` in order.
     """
-    if chains is None:
-        chains = _minus2_components(g)
-    else:
-        chains = [list(c) for c in chains]
+    chains = _minus2_components(g)
     vertex = {v.id: v for v in g.vertices}
     meet = {}  # (a, b) and (b, a) -> the multiplicity of the edge between a and b
     for e in g.edges:
         meet[e.a, e.b] = meet[e.b, e.a] = e.multiplicity
     for chain in chains:
         _check_chain(chain, vertex, meet)
-    removed = set()
-    for chain in chains:
-        if removed & set(chain):
-            raise NotMinusTwoChain("chains overlap")
-        removed |= set(chain)
     # where each contracted curve sits: (chain number, 0-based position)
     where = {c: (n, i) for n, chain in enumerate(chains) for i, c in enumerate(chain)}
     # the nonzero entries of each survivor's intersection vector with each chain
@@ -697,14 +677,14 @@ def contract_minus2_chains(g: BoundaryGraph, chains=None) -> ChainContraction:
         k = len(chains[n])
         num = sum(mi * mj * (min(i, j) + 1) * (k - max(i, j)) for i, mi in vec for j, mj in vec)
         gain[vid] = gain.get(vid, 0) + num * (den // (k + 1))
-    vs = [v for v in g.vertices if v.id not in removed]
+    vs = [v for v in g.vertices if v.id not in where]
     for i, v in enumerate(vs):
         if num := gain.get(v.id):
             n, d = v.self_int.as_integer_ratio()
             vs[i] = CurveVertex(v.id, Fraction(n * den + num * d, d * den), v.coeff, v.nodes)
-    es = [e for e in g.edges if e.a not in removed and e.b not in removed]
-    mps = tuple(p for p in g.marked_points if removed.isdisjoint(p.branches))
-    singular = _store(vs, es, mps, g.picard_rank - len(removed))
+    es = [e for e in g.edges if e.a not in where and e.b not in where]
+    mps = tuple(p for p in g.marked_points if where.keys().isdisjoint(p.branches))
+    singular = _store(vs, es, mps, g.picard_rank - len(where))
     return ChainContraction(singular, sorted(len(chain) for chain in chains))
 
 

@@ -1,20 +1,23 @@
 """The Calabi-Yau test and the surgery functions, kept as the oracle.
 
 This is ``validate_cy`` as it stood before the single-pass residuals,
-with ``Fraction`` arithmetic and an ``edges_at`` scan per vertex, and
+with ``Fraction`` arithmetic and a scan of every edge per vertex, and
 the blow-ups, the blow-down and ``is_crepant_blowdown`` as they stood
 before the trusted constructor: every result goes through the validating
 ``BoundaryGraph.build`` and every changed vertex through the checking
 ``CurveVertex`` constructor.  ``cypair.boundary_graph`` must return equal
 values, or raise the same error with the same message.
 
-``contract_minus2_chains`` and its ``_check_chain`` are kept as they
-stood before the integer pull-back: a k-by-k loop of ``Fraction``
-products per survivor and chain, ``intersection`` lookups for every
-entry of the intersection vector, and a chord check through
-``chain.index``.  ``_minus2_components`` is the chain walk as it stood
-before it looked back one vertex only: each step scans the whole chain
-so far.
+``contract_minus2_chains`` is kept as it stood before the integer
+pull-back: a k-by-k loop of ``Fraction`` products per survivor and
+chain, and ``intersection`` lookups for every entry of the intersection
+vector.  Like the program's, it contracts every maximal chain.  Its
+``_check_chain`` and the overlap loop keep every check of the explicit
+chains the function once took (distinct ids, (-2)-curves, chords through
+``chain.index``, overlaps), so they check the chain walk independently:
+a chain that the program contracts must pass all of them.
+``_minus2_components`` is the chain walk as it stood before it looked
+back one vertex only: each step scans the whole chain so far.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ def validate_cy(g: bg.BoundaryGraph) -> list[tuple[str, Fraction]]:
     out = []
     for v in g.vertices:
         r = Fraction(2 * v.nodes - 2) - v.self_int + v.coeff * v.self_int
-        for e in g.edges_at(v.id):
-            r += coeff[_other(e, v.id)] * e.multiplicity
+        for e in g.edges:
+            if v.id in (e.a, e.b):
+                r += coeff[_other(e, v.id)] * e.multiplicity
         out.append((v.id, r))
     return out
 
@@ -72,7 +76,7 @@ def blowup_corner(g: bg.BoundaryGraph, edge=None, node=None, new_id=None) -> bg.
     if (edge is None) == (node is None):
         raise bg.NoSuchIntersection("pass exactly one of edge=(a, b) or node=vertex_id")
     eid = new_id or _fresh_id(g)
-    if g.has_vertex(eid):
+    if any(v.id == eid for v in g.vertices):
         raise bg.InvalidGraph(f"vertex id {eid!r} already in use")
     if edge is not None:
         a, b = edge
@@ -111,7 +115,7 @@ def blowup_interior(g: bg.BoundaryGraph, vertex: str, new_id=None) -> bg.Boundar
     """
     vc = g.vertex(vertex)
     eid = new_id or _fresh_id(g)
-    if g.has_vertex(eid):
+    if any(v.id == eid for v in g.vertices):
         raise bg.InvalidGraph(f"vertex id {eid!r} already in use")
     new_vertex = bg.CurveVertex(eid, Fraction(-1), vc.coeff - 1)
     vs = _with_vertex(g.vertices, vertex, self_int=vc.self_int - 1)
@@ -135,7 +139,7 @@ def blowdown(g: bg.BoundaryGraph, vertex: str) -> bg.BoundaryGraph:
         raise bg.VertexHasNodes(f"{vertex!r} carries nodes and is not a smooth (-1)-curve")
     if any(vertex in p.branches for p in g.marked_points):
         raise bg.InvalidGraph(f"{vertex!r} appears in a marked point")
-    incident = g.edges_at(vertex)
+    incident = [e for e in g.edges if vertex in (e.a, e.b)]
     mults = {_other(e, vertex): e.multiplicity for e in incident}
     vs = []
     for w in g.vertices:
@@ -168,7 +172,8 @@ def is_crepant_blowdown(g: bg.BoundaryGraph, vertex: str) -> bool:
     if v.self_int != -1 or v.nodes != 0:
         return False
     expected = sum(
-        (g.vertex(_other(e, vertex)).coeff * e.multiplicity for e in g.edges_at(vertex)),
+        (g.vertex(_other(e, vertex)).coeff * e.multiplicity
+         for e in g.edges if vertex in (e.a, e.b)),
         Fraction(-1),
     )
     return v.coeff == expected
@@ -232,21 +237,17 @@ def _check_chain(g: bg.BoundaryGraph, chain: list[str]) -> None:
             raise bg.NotMinusTwoChain("chain has a chord")
 
 
-def contract_minus2_chains(g: bg.BoundaryGraph, chains=None) -> bg.ChainContraction:
-    """Contract chains of (-2)-curves to A_k singular-point marks.
+def contract_minus2_chains(g: bg.BoundaryGraph) -> bg.ChainContraction:
+    """Contract every maximal chain of (-2)-curves to an A_k singular point.
 
-    Without an explicit ``chains`` argument every maximal chain of
-    (-2)-vertices is taken.  The returned singular model keeps the
-    surviving curves with their self-intersections corrected by the
-    rational pull-back contribution of each chain (so they may become
-    non-integral) and the edges among them; where two survivors meet at a
-    new singular point, that intersection is not recorded.  Each contracted
-    chain of k curves leaves one A_k point, listed in ``mark_ranks``.
+    The returned singular model keeps the surviving curves with their
+    self-intersections corrected by the rational pull-back contribution of
+    each chain (so they may become non-integral) and the edges among them;
+    where two survivors meet at a new singular point, that intersection is
+    not recorded.  Each contracted chain of k curves leaves one A_k point,
+    listed in ``mark_ranks``.
     """
-    if chains is None:
-        chains = _minus2_components(g)
-    else:
-        chains = [list(c) for c in chains]
+    chains = _minus2_components(g)
     for chain in chains:
         _check_chain(g, chain)
     removed = set()

@@ -51,7 +51,8 @@ def _boundary_nodes(g: bg.BoundaryGraph) -> list[tuple]:
 
 
 def _divisor_witness(g: bg.BoundaryGraph, support_ids: list[str], cap: int):
-    present = [i for i in support_ids if g.has_vertex(i)]
+    ids = {v.id for v in g.vertices}
+    present = [i for i in support_ids if i in ids]
     nodes = _boundary_nodes(g)
     for mults in product(range(cap + 1), repeat=len(present)):
         if not any(mults):

@@ -753,7 +753,8 @@ class TestFixtureShapes:
         ids = {v.id for v in boundary}
         for v in boundary:
             deg = sum(
-                e.multiplicity for e in g.edges_at(v.id) if (e.b if e.a == v.id else e.a) in ids
+                e.multiplicity for e in g.edges
+                if v.id in (e.a, e.b) and (e.b if e.a == v.id else e.a) in ids
             )
             assert deg == 2
 
