@@ -40,8 +40,8 @@ assert len(resolved.rays) == 6 and lf.resolve(resolved) == resolved
 product = lf.make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)])
 data = lf.p1_projection(product, (0, 1))
 print("\nproduct fan along (0,1):")
-print("vertical rays:", [product.rays[i].as_pair() for i in data.vertical_rays])
-print("fiber over 0:", [(product.rays[i].as_pair(), m) for i, m in data.fiber_over_zero])
+print("vertical rays:", [tuple(product.rays[i]) for i in data.vertical_rays])
+print("fiber over 0:", [(tuple(product.rays[i]), m) for i, m in data.fiber_over_zero])
 
 # When both chosen rays lie on the same side of the form, some cone
 # straddles the kernel and the projection needs a subdivision first.
@@ -52,4 +52,4 @@ except lf.NoToricMorphism as exc:
 prepared = lf.subdivide_for_projection(plane, (1, 1))
 data = lf.p1_projection(prepared, (1, 1))
 print("after inserting the kernel rays:", lf.fan_to_json(prepared))
-print("fiber over infinity:", [(prepared.rays[i].as_pair(), m) for i, m in data.fiber_over_infinity])
+print("fiber over infinity:", [(tuple(prepared.rays[i]), m) for i, m in data.fiber_over_infinity])

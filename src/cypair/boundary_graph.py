@@ -26,9 +26,10 @@ each new value with ``bisect.insort``, so ``_store`` takes the order it
 is given.
 
 The value types here and in the other modules are ``namedtuple``
-subclasses with empty ``__slots__``: their repr, hash, ordering and
-same-class equality are those of the tuple of their fields, and fields
-cannot be set.  Two tuple traits remain:
+classes: their repr, hash, ordering and same-class equality are those of
+the tuple of their fields, and fields cannot be set.  A type with a check
+or a method is a subclass with empty ``__slots__``; the rest are plain
+namedtuples.  Two tuple traits remain:
 
 - A record equals the plain tuple of its fields.
 - ``_make`` and ``_replace`` skip ``__new__`` and its checks.  Surgery on
@@ -357,14 +358,6 @@ def divisor_square(g: BoundaryGraph, multiplicities: dict) -> Fraction:
 # -- exceptional ids -------------------------------------------------------
 
 
-def _fresh_id(g: BoundaryGraph) -> str:
-    used = set(g.ids())
-    k = 1
-    while f"E{k}" in used:
-        k += 1
-    return f"E{k}"
-
-
 def _wrong_length(kind: str, name: tuple, n: int, least: int) -> InvalidGraph:
     """The error for a ``kind`` tuple of ``n`` fields whose id fields are ``name``."""
     label = "-".join(map(str, name))
@@ -373,12 +366,16 @@ def _wrong_length(kind: str, name: tuple, n: int, least: int) -> InvalidGraph:
 
 def _new_id(g: BoundaryGraph, new_id) -> str:
     """The exceptional curve's id: the caller's ``new_id``, refused when a
-    curve has it, or else the ``_fresh_id``, which no curve has."""
-    if not new_id:
-        return _fresh_id(g)
-    if new_id in g.ids():
-        raise InvalidGraph(f"vertex id {new_id!r} already in use")
-    return new_id
+    curve has it, or else the first ``E<k>`` that no curve has."""
+    if new_id:
+        if new_id in g.ids():
+            raise InvalidGraph(f"vertex id {new_id!r} already in use")
+        return new_id
+    used = set(g.ids())
+    k = 1
+    while f"E{k}" in used:
+        k += 1
+    return f"E{k}"
 
 
 def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
@@ -584,10 +581,10 @@ def resolve_An_at_node(B_sq, n: int) -> BoundaryGraph:
     return BoundaryGraph.build(vs, es, rho=1 + n)
 
 
-class ChainContraction(namedtuple("ChainContraction", "singular mark_ranks")):
-    """The singular model, and the rank k of each A_k point it gained, sorted."""
-
-    __slots__ = ()
+ChainContraction = namedtuple("ChainContraction", "singular mark_ranks")
+ChainContraction.__doc__ = (
+    "The singular model, and the rank k of each A_k point it gained, sorted."
+)
 
 
 def _minus2_components(g: BoundaryGraph) -> list[list[str]]:
@@ -691,12 +688,12 @@ def contract_minus2_chains(g: BoundaryGraph) -> ChainContraction:
 # -- isomorphism -------------------------------------------------------------
 
 
-def weighted_isomorphic(g1: BoundaryGraph, g2: BoundaryGraph, with_coeff: bool = False) -> bool:
+def weighted_isomorphic(g1: BoundaryGraph, g2: BoundaryGraph) -> bool:
     """Graph isomorphism respecting self-intersections, nodes and edge
-    multiplicities (and coefficients when ``with_coeff``)."""
+    multiplicities; coefficients are not compared."""
 
     def label(v: CurveVertex):
-        return (v.self_int, v.nodes, v.coeff) if with_coeff else (v.self_int, v.nodes)
+        return (v.self_int, v.nodes)
 
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False

@@ -124,24 +124,18 @@ class FiberSpec(
         )
 
 
-class Verdict(namedtuple("Verdict", "cluster_type failed_conditions", defaults=((),))):
-    __slots__ = ()
+Verdict = namedtuple("Verdict", "cluster_type failed_conditions", defaults=((),))
 
+WeightedCornerData = namedtuple(
+    "WeightedCornerData",
+    "c1_tilde_sq c2_tilde_sq c1_dot_e c2_dot_e c1_dot_c2",
+    defaults=(Fraction(1),),
+)
+WeightedCornerData.__doc__ = """Intersection numbers after the (x^alpha, y^beta) corner blow-up.
 
-class WeightedCornerData(
-    namedtuple(
-        "WeightedCornerData",
-        "c1_tilde_sq c2_tilde_sq c1_dot_e c2_dot_e c1_dot_c2",
-        defaults=(Fraction(1),),
-    )
-):
-    """Intersection numbers after the (x^alpha, y^beta) corner blow-up.
-
-    Unlike the other value types, the fields stay ``Fraction`` even when
-    integral, as they have always been printed.
-    """
-
-    __slots__ = ()
+Unlike the other value types, the fields stay ``Fraction`` even when
+integral, as they have always been printed.
+"""
 
 
 def _criterion(f: FiberSpec, rank: int, condition_3: bool) -> Verdict:
@@ -243,16 +237,14 @@ def obstruction_value(m1: int, m2: int, data: WeightedCornerData) -> Fraction:
 # -- witness search ----------------------------------------------------------
 
 
-class Witness(namedtuple("Witness", "script divisor node")):
-    """A depth-bounded certificate for the toric-blow-up criterion.
+Witness = namedtuple("Witness", "script divisor node")
+Witness.__doc__ = """A depth-bounded certificate for the toric-blow-up criterion.
 
-    ``script`` lists the corner blow-ups performed (("edge", a, b) or
-    ("node", v)); ``divisor`` gives the multiplicity of each original
-    component's strict transform in the nonnegative divisor; ``node``
-    locates a boundary node outside the divisor's support.
-    """
-
-    __slots__ = ()
+``script`` lists the corner blow-ups performed (("edge", a, b) or
+("node", v)); ``divisor`` gives the multiplicity of each original
+component's strict transform in the nonnegative divisor; ``node``
+locates a boundary node outside the divisor's support.
+"""
 
 
 def _corners(g: bg.BoundaryGraph):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from fractions import Fraction
 
 
 class AtlasError(Exception):
@@ -101,8 +100,7 @@ def volume_of(sings) -> int:
     return 9 - total
 
 
-class SurfaceVerdict(namedtuple("SurfaceVerdict", "cluster_type reason")):
-    __slots__ = ()
+SurfaceVerdict = namedtuple("SurfaceVerdict", "cluster_type reason")
 
 
 def classify_surface(sings) -> SurfaceVerdict:
@@ -147,10 +145,8 @@ class MultiComponent(namedtuple("MultiComponent", "k ranks")):
         return super().__new__(cls, k, ranks)
 
 
-class NodalSmoothLocus(namedtuple("NodalSmoothLocus", "")):
-    """Irreducible nodal boundary inside the smooth locus."""
-
-    __slots__ = ()
+NodalSmoothLocus = namedtuple("NodalSmoothLocus", "")
+NodalSmoothLocus.__doc__ = """Irreducible nodal boundary inside the smooth locus."""
 
 
 class NodalAtA(namedtuple("NodalAtA", "n")):
@@ -172,10 +168,8 @@ class PairSpec(namedtuple("PairSpec", "singularities boundary")):
         return PairSpec(_as_labels(sings), boundary)
 
 
-class PairVerdict(namedtuple("PairVerdict", "cluster_type case volume reason")):
-    """``case`` is 1..5 or "infeasible"."""
-
-    __slots__ = ()
+PairVerdict = namedtuple("PairVerdict", "cluster_type case volume reason")
+PairVerdict.__doc__ = """``case`` is 1..5 or "infeasible"."""
 
 
 def two_component_feasibility(volume: int, n: int, m: int) -> bool:
@@ -185,11 +179,12 @@ def two_component_feasibility(volume: int, n: int, m: int) -> bool:
     Feasible iff volume > 2*(1/(n+1) + 1/(m+1)): both components have
     positive self-intersection on a rank-one surface, so the volume
     strictly dominates twice their intersection number, and each
-    intersection point at an A_k point contributes 1/(k+1).
+    intersection point at an A_k point contributes 1/(k+1).  Decided in
+    integers, by multiplying both sides by (n+1)(m+1).
     """
     if n < 1 or m < 1:
         raise InconsistentSpec("A-ranks must be positive")
-    return Fraction(volume) > 2 * (Fraction(1, n + 1) + Fraction(1, m + 1))
+    return volume * (n + 1) * (m + 1) > 2 * (n + m + 2)
 
 
 def decide_pair(spec: PairSpec) -> PairVerdict:
@@ -321,10 +316,10 @@ def catalog() -> tuple[GdpFamily, ...]:
 # -- figure contraction scripts ----------------------------------------------
 
 
-class ContractionReplay(namedtuple("ContractionReplay", "before after script result")):
-    """The fixture's two panels, the ids blown down and the computed graph."""
-
-    __slots__ = ()
+ContractionReplay = namedtuple("ContractionReplay", "before after script result")
+ContractionReplay.__doc__ = (
+    "The fixture's two panels, the ids blown down and the computed graph."
+)
 
 
 def apply_contraction_script(fig: str) -> ContractionReplay:

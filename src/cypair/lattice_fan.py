@@ -61,33 +61,23 @@ class RayVector(namedtuple("RayVector", "x y")):
             raise NonPrimitiveRay(f"ray {(x, y)} is not primitive")
         return super().__new__(cls, x, y)
 
-    def as_pair(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
 
 def det(u: RayVector, v: RayVector) -> int:
     """Lattice determinant u.x*v.y - u.y*v.x; the index of the cone <u, v>."""
     return u.x * v.y - u.y * v.x
 
 
-class FibrationData(
-    namedtuple("FibrationData", "vertical_rays fiber_over_zero fiber_over_infinity")
-):
-    """Classification of rays under a toric morphism to the projective line.
+FibrationData = namedtuple("FibrationData", "vertical_rays fiber_over_zero fiber_over_infinity")
+FibrationData.__doc__ = """Classification of rays under a toric morphism to the projective line.
 
-    ``vertical_rays`` holds indices of rays on which the linear form
-    vanishes; the two fibre lists hold ``(ray index, multiplicity)`` pairs
-    with multiplicity ``|L(u)| > 0``.  Every ray appears in exactly one of
-    the three lists.
-    """
+``vertical_rays`` holds indices of rays on which the linear form
+vanishes; the two fibre lists hold ``(ray index, multiplicity)`` pairs
+with multiplicity ``|L(u)| > 0``.  Every ray appears in exactly one of
+the three lists.
+"""
 
-    __slots__ = ()
-
-
-class Fan2(namedtuple("Fan2", "rays")):
-    """Complete 2-D fan: counterclockwise primitive rays, canonical rotation."""
-
-    __slots__ = ()
+Fan2 = namedtuple("Fan2", "rays")
+Fan2.__doc__ = """Complete 2-D fan: counterclockwise primitive rays, canonical rotation."""
 
 
 def _as_ray(v) -> RayVector:
@@ -191,14 +181,14 @@ def star_subdivide(fan: Fan2, v) -> Fan2:
     """
     v = _as_ray(v)
     if v in fan.rays:
-        raise RayAlreadyPresent(f"ray {v.as_pair()} already in fan")
+        raise RayAlreadyPresent(f"ray {tuple(v)} already in fan")
     rays = fan.rays
     n = len(rays)
     for i in range(n):
         if det(rays[i], v) > 0 and det(v, rays[(i + 1) % n]) > 0:
             new = rays[: i + 1] + (v,) + rays[i + 1 :]
             return make_fan(new)
-    raise NotInteriorToCone(f"ray {v.as_pair()} is not interior to any cone")
+    raise NotInteriorToCone(f"ray {tuple(v)} is not interior to any cone")
 
 
 def p1_projection(fan: Fan2, L) -> FibrationData:
@@ -216,7 +206,7 @@ def p1_projection(fan: Fan2, L) -> FibrationData:
     for i in range(n):
         if values[i] * values[(i + 1) % n] < 0:
             raise NoToricMorphism(
-                f"cone <{rays[i].as_pair()}, {rays[(i + 1) % n].as_pair()}> straddles ker L; "
+                f"cone <{tuple(rays[i])}, {tuple(rays[(i + 1) % n])}> straddles ker L; "
                 "star-subdivide along the kernel first"
             )
     return FibrationData(
@@ -266,7 +256,7 @@ def _hj_chain(u: RayVector, v: RayVector) -> list[RayVector]:
     while d > 1:
         if len(chain) == _HJ_CHAIN_CAP:
             raise FanError(
-                f"resolving the cone <{start.as_pair()}, {v.as_pair()}> needs more than "
+                f"resolving the cone <{tuple(start)}, {tuple(v)}> needs more than "
                 f"{_HJ_CHAIN_CAP} rays"
             )
         # particular solution of u.x*wy - u.y*wx = 1 via the extended gcd

@@ -117,14 +117,14 @@ def star_subdivide(fan: Fan2, v) -> Fan2:
     """
     v = _as_ray(v)
     if v in fan.rays:
-        raise RayAlreadyPresent(f"ray {v.as_pair()} already in fan")
+        raise RayAlreadyPresent(f"ray {tuple(v)} already in fan")
     rays = fan.rays
     n = len(rays)
     for i in range(n):
         if det(rays[i], v) > 0 and det(v, rays[(i + 1) % n]) > 0:
             new = rays[: i + 1] + (v,) + rays[i + 1 :]
             return make_fan(new)
-    raise NotInteriorToCone(f"ray {v.as_pair()} is not interior to any cone")
+    raise NotInteriorToCone(f"ray {tuple(v)} is not interior to any cone")
 
 
 def p1_projection(fan: Fan2, L) -> FibrationData:
@@ -144,7 +144,7 @@ def p1_projection(fan: Fan2, L) -> FibrationData:
         a, b = values[i], values[(i + 1) % n]
         if (a > 0 and b < 0) or (a < 0 and b > 0):
             raise NoToricMorphism(
-                f"cone <{rays[i].as_pair()}, {rays[(i + 1) % n].as_pair()}> straddles ker L; "
+                f"cone <{tuple(rays[i])}, {tuple(rays[(i + 1) % n])}> straddles ker L; "
                 "star-subdivide along the kernel first"
             )
     return FibrationData(

@@ -401,7 +401,7 @@ class TestReducedVolume:
 
 
 def _iso_labels(g: bg.BoundaryGraph) -> list:
-    """The labels ``weighted_isomorphic`` matches without coefficients."""
+    """The labels ``weighted_isomorphic`` matches."""
     return sorted((v.self_int, v.nodes) for v in g.vertices)
 
 
@@ -428,7 +428,6 @@ class TestIsomorphism:
         g1 = build([("A", 0, 1), ("B", 0, 1)], [("A", "B")])
         g2 = build([("A", 0, 0), ("B", 0, 1)], [("A", "B")])
         assert bg.weighted_isomorphic(g1, g2)
-        assert not bg.weighted_isomorphic(g1, g2, with_coeff=True)
 
     def test_fixture_pairs(self):
         # each graph fixture matches a relabelled copy of itself and no other
@@ -442,14 +441,12 @@ class TestIsomorphism:
             copy = build([(new[v.id], *v[1:]) for v in g1.vertices],
                          [(new[e.a], new[e.b], e.multiplicity) for e in g1.edges],
                          (), g1.picard_rank)
-            for with_coeff in (False, True):
-                assert bg.weighted_isomorphic(g1, copy, with_coeff)
+            assert bg.weighted_isomorphic(g1, copy)
             for g2 in graphs:
                 if (len(g1.vertices), len(g1.edges)) != (len(g2.vertices), len(g2.edges)):
                     sizes += 1
                     twins += _iso_labels(g1) == _iso_labels(g2)
-                for with_coeff in (False, True):
-                    assert bg.weighted_isomorphic(g1, g2, with_coeff) == (g1 is g2)
+                assert bg.weighted_isomorphic(g1, g2) == (g1 is g2)
         assert sizes and twins
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,19 @@ class TestTwoComponentFeasibility:
         assert not atlas.two_component_feasibility(1, 3, 3)
         assert not atlas.two_component_feasibility(1, 2, 2)
         assert atlas.two_component_feasibility(3, 1, 5)
+
+    def test_integers_agree_with_the_rational_inequality(self):
+        # volume > 2*(1/(n+1) + 1/(m+1)); (1,2,5), (1,3,3), (1,5,2) and
+        # (2,1,1) are the cases of equality, which are infeasible
+        equal = []
+        for vol in range(1, 10):
+            for n in range(1, 9):
+                for m in range(1, 9):
+                    bound = 2 * (Fraction(1, n + 1) + Fraction(1, m + 1))
+                    assert atlas.two_component_feasibility(vol, n, m) == (vol > bound)
+                    if vol == bound:
+                        equal.append((vol, n, m))
+        assert equal == [(1, 2, 5), (1, 3, 3), (1, 5, 2), (2, 1, 1)]
 
     @given(
         st.integers(1, 9), st.integers(1, 8), st.integers(1, 8),
@@ -263,14 +277,16 @@ import cypair.gdp_atlas as atlas
 atlas.catalog()
 atlas.classify_surface("A1+A2+A5")
 atlas.decide_pair(atlas.PairSpec.build("A4", atlas.NodalSmoothLocus()))
+atlas.decide_pair(atlas.PairSpec.build("A8", atlas.MultiComponent(2, (3, 3))))
 decisions = loaded()
+rationals = "fractions" in sys.modules
 resolved = [name for name in cypair.__all__ if getattr(cypair, name).__name__ == "cypair." + name]
 try:
     cypair.nope
     missing = "resolved"
 except AttributeError:
     missing = "AttributeError"
-print(json.dumps([bare, decisions, resolved, missing]))
+print(json.dumps([bare, decisions, rationals, resolved, missing]))
 """
 
 
@@ -285,8 +301,9 @@ def test_decision_layer_loads_alone():
     assert (proc.returncode, proc.stderr) == (0, "")
     import cypair
 
-    bare, decisions, resolved, missing = json.loads(proc.stdout)
+    bare, decisions, rationals, resolved, missing = json.loads(proc.stdout)
     assert bare == ["cypair"]
     assert decisions == ["cypair", "cypair.gdp_atlas"]
+    assert not rationals
     assert resolved == cypair.__all__
     assert missing == "AttributeError"

@@ -10,6 +10,7 @@ import pytest
 import cypair
 from cypair import boundary_graph as bg
 from cypair import cli
+from cypair import fixtures
 from cypair import gdp_atlas as atlas
 from cypair import lattice_fan as lf
 
@@ -53,6 +54,9 @@ SITES = [
     ("star_subdivide interior",
      lambda: lf.star_subdivide(lf.Fan2((lf.RayVector(1, 0),)), (-1, 0)),
      lf.NotInteriorToCone, "ray (-1, 0) is not interior to any cone"),
+    ("star_subdivide present",
+     lambda: lf.star_subdivide(fixtures.load_fixture("p2.fan"), (1, 0)),
+     lf.RayAlreadyPresent, "ray (1, 0) already in fan"),
     ("cypair attribute", lambda: cypair.nope,
      AttributeError, "module 'cypair' has no attribute 'nope'"),
 ]

@@ -1,9 +1,11 @@
-"""The value types of every layer are immutable ``namedtuple`` subclasses.
+"""The value types of every layer are immutable ``namedtuple`` classes.
 
-One instance of each of the 22 classes prints a pinned repr (integral
-rationals print as ``int``, the rest as ``Fraction``), hashes as the
-tuple of its fields and refuses attribute assignment; and loading the
-whole package imports neither ``dataclasses`` nor ``inspect``.
+Ten are plain namedtuples; the twelve that check their input or carry a
+method are subclasses with empty ``__slots__``.  One instance of each of
+the 22 types prints a pinned repr (integral rationals print as ``int``,
+the rest as ``Fraction``), hashes as the tuple of its fields and refuses
+attribute assignment; and loading the whole package imports neither
+``dataclasses`` nor ``inspect``.
 """
 
 import json
@@ -105,6 +107,36 @@ VALUES = {
 # a list or dict field makes a value unhashable, as it always did
 UNHASHABLE = {"ChainContraction", "Witness"}
 
+# the value types that check nothing are plain namedtuples; each keeps the
+# docstring its class had, pinned word by word (help() re-indents it), and
+# the two that had none show the generated one
+PLAIN = {
+    "ChainContraction":
+        "The singular model, and the rank k of each A_k point it gained, sorted.",
+    "Verdict": "Verdict(cluster_type, failed_conditions)",
+    "WeightedCornerData":
+        "Intersection numbers after the (x^alpha, y^beta) corner blow-up. Unlike the "
+        "other value types, the fields stay ``Fraction`` even when integral, as they "
+        "have always been printed.",
+    "Witness":
+        "A depth-bounded certificate for the toric-blow-up criterion. ``script`` lists "
+        "the corner blow-ups performed ((\"edge\", a, b) or (\"node\", v)); ``divisor`` "
+        "gives the multiplicity of each original component's strict transform in the "
+        "nonnegative divisor; ``node`` locates a boundary node outside the divisor's "
+        "support.",
+    "SurfaceVerdict": "SurfaceVerdict(cluster_type, reason)",
+    "NodalSmoothLocus": "Irreducible nodal boundary inside the smooth locus.",
+    "PairVerdict": '``case`` is 1..5 or "infeasible".',
+    "ContractionReplay":
+        "The fixture's two panels, the ids blown down and the computed graph.",
+    "FibrationData":
+        "Classification of rays under a toric morphism to the projective line. "
+        "``vertical_rays`` holds indices of rays on which the linear form vanishes; the "
+        "two fibre lists hold ``(ray index, multiplicity)`` pairs with multiplicity "
+        "``|L(u)| > 0``. Every ray appears in exactly one of the three lists.",
+    "Fan2": "Complete 2-D fan: counterclockwise primitive rays, canonical rotation.",
+}
+
 
 def test_every_value_type_is_covered():
     classes = {
@@ -121,6 +153,13 @@ def test_repr_is_unchanged(name):
     value, expected = VALUES[name]
     assert type(value).__name__ == name
     assert repr(value) == expected
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_a_type_without_checks_is_a_plain_namedtuple(name):
+    cls = type(VALUES[name][0])
+    assert cls.__bases__ == (tuple,)
+    assert " ".join(cls.__doc__.split()) == PLAIN[name]
 
 
 def test_an_edge_stores_its_endpoints_in_order():
