@@ -13,8 +13,9 @@ Self-nodes are vertex-local counters rather than loop edges, which keeps
 the blow-down arithmetic (the m-choose-2 rule) explicit.
 
 A vertex stores an integral self-intersection or coefficient as an
-``int`` and any other as a ``Fraction``; ``CurveVertex`` normalizes, so
-surgery and chain contraction results take the same form as parsed ones.
+``int`` and any other as a ``Fraction``; ``CurveVertex`` normalizes, and
+so does ``_add_curve`` for a blow-up's new curve, so surgery and chain
+contraction results take the same form as parsed ones.
 The two forms compare and hash equal, but their reprs differ (``-1``
 against ``Fraction(-1, 1)``).  ``validate_cy`` still returns its
 residuals as ``Fraction``s.
@@ -33,10 +34,11 @@ namedtuples.  Two tuple traits remain:
 
 - A record equals the plain tuple of its fields.
 - ``_make`` and ``_replace`` skip ``__new__`` and its checks.  Surgery on
-  a valid graph builds with ``_make`` only the values it re-derives from
-  kept curves and edges, whose invariants hold by construction; every new
-  value goes through its constructor.  ``_store`` states the same rule
-  for the graph.
+  a valid graph builds every value with ``_make``: the ones it re-derives
+  from kept curves and edges and the new ones alike, whose invariants hold
+  by construction.  The one thing ``CurveVertex`` would still do, storing
+  an integral ``Fraction`` coefficient as an ``int``, ``_add_curve`` does
+  inline.  ``_store`` states the same rule for the graph.
 """
 
 from __future__ import annotations
@@ -371,7 +373,7 @@ def _new_id(g: BoundaryGraph, new_id) -> str:
         if new_id in g.ids():
             raise InvalidGraph(f"vertex id {new_id!r} already in use")
         return new_id
-    used = set(g.ids())
+    used = {v.id for v in g.vertices}
     k = 1
     while f"E{k}" in used:
         k += 1
@@ -395,14 +397,24 @@ def _store(vertices, edges, marked_points, rho: int) -> BoundaryGraph:
     return BoundaryGraph(tuple(vertices), tuple(edges), marked_points, rho)
 
 
-def _add_curve(g: BoundaryGraph, vs: list, es: list, eid: str, coeff, new_edges) -> BoundaryGraph:
+def _add_curve(g: BoundaryGraph, vs: list, es: list, eid: str, coeff, neighbours) -> BoundaryGraph:
     """A blow-up of g, stored: the kept and lowered curves ``vs`` and the
     kept edges ``es``, both in order, with the exceptional curve ``eid``
-    of coefficient ``coeff`` and its ``new_edges`` inserted in order.  The
-    Picard rank grows by one."""
-    insort(vs, CurveVertex(eid, -1, coeff))
-    for e in new_edges:
-        insort(es, e)
+    of coefficient ``coeff`` and an edge to each of its ``neighbours``,
+    ``(id, points)`` pairs, inserted in order.  The Picard rank grows by
+    one.
+
+    The new curve and edges are built with ``_make``, since none of their
+    constructors' checks can fail: a crepant coefficient is at most 1 as
+    every coefficient is, the new curve has self-intersection -1 and no
+    nodes, ``_new_id`` has refused an id in use, so no edge is a loop, and
+    each edge has 1 or 2 points.  An integral ``Fraction`` coefficient
+    (1/2 + 1/2 - 1) is stored as an ``int`` here, as ``CurveVertex`` would.
+    """
+    coeff = coeff.numerator if coeff.denominator == 1 else coeff
+    insort(vs, CurveVertex._make((eid, -1, coeff, 0)))
+    for other, m in neighbours:
+        insort(es, Edge._make((eid, other, m) if eid < other else (other, eid, m)))
     return _store(vs, es, g.marked_points, g.picard_rank + 1)
 
 
@@ -425,8 +437,9 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
     ``_make``: an integer step keeps a self-intersection's stored form,
     coefficients do not change, a node is taken only from a curve that
     has one, and the split edge keeps a < b and at least one point.  The
-    exceptional curve and its edges go through their checking
-    constructors and are inserted in order by ``_add_curve``.
+    marked points are counted only when the graph has some.
+    ``_add_curve`` builds the exceptional curve and its edges with
+    ``_make`` as well and inserts them in order.
     """
     if (edge is None) == (node is None):
         raise NoSuchIntersection("pass exactly one of edge=(a, b) or node=vertex_id")
@@ -446,7 +459,9 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
         if e is None:
             raise NoSuchIntersection(f"no intersection point between {a!r} and {b!r}")
         m = e.multiplicity
-        if m <= sum(1 for p in g.marked_points if a in p.branches and b in p.branches):
+        if g.marked_points and m <= sum(
+            1 for p in g.marked_points if a in p.branches and b in p.branches
+        ):
             raise NoSuchIntersection(
                 f"every intersection point of {a!r} and {b!r} lies at a marked point"
             )
@@ -456,7 +471,7 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
                 coeff += v.coeff
                 v = make((v.id, v.self_int - 1, v.coeff, v.nodes))
             vs.append(v)
-        return _add_curve(g, vs, es, eid, coeff, (Edge(eid, a), Edge(eid, b)))
+        return _add_curve(g, vs, es, eid, coeff, ((a, 1), (b, 1)))
     coeff = None
     for v in g.vertices:
         if v.id == node:
@@ -467,7 +482,7 @@ def blowup_corner(g: BoundaryGraph, edge=None, node=None, new_id=None) -> Bounda
         vs.append(v)
     if coeff is None:
         raise NoSuchVertex(f"no vertex {node!r}")
-    return _add_curve(g, vs, list(g.edges), eid, coeff, (Edge(eid, node, 2),))
+    return _add_curve(g, vs, list(g.edges), eid, coeff, ((node, 2),))
 
 
 def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph:
@@ -476,9 +491,8 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
     The exceptional curve gets coefficient b_c - 1 (a sub-pair when b_c < 1)
     and meets the strict transform once.  One pass over the vertices finds
     the component and lowers it in place, with ``_make``; a caller's
-    ``new_id`` is then checked for use, and the new curve and its edge go
-    through their checking constructors and are inserted in order by
-    ``_add_curve``.
+    ``new_id`` is then checked for use, and ``_add_curve`` builds the new
+    curve and its edge with ``_make`` as well and inserts them in order.
     """
     vs, coeff = [], None
     for v in g.vertices:
@@ -489,7 +503,7 @@ def blowup_interior(g: BoundaryGraph, vertex: str, new_id=None) -> BoundaryGraph
     if coeff is None:
         raise NoSuchVertex(f"no vertex {vertex!r}")
     eid = _new_id(g, new_id)
-    return _add_curve(g, vs, list(g.edges), eid, coeff, (Edge(eid, vertex),))
+    return _add_curve(g, vs, list(g.edges), eid, coeff, ((vertex, 1),))
 
 
 def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
@@ -507,8 +521,9 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
     reused, and every kept value stays in its place.  The re-derived
     neighbours and the kept edges that gain points are built with
     ``_make``, since integer gains keep the stored form and counts only
-    grow; new edges between neighbours go through ``Edge`` and are
-    inserted in order.
+    grow.  So are the new edges between neighbours, inserted in order:
+    ``combinations`` of the sorted ids puts their ends in order, and each
+    has a product of positive multiplicities as its points.
     """
     mults, es = {}, []
     for e in g.edges:
@@ -540,7 +555,7 @@ def blowdown(g: BoundaryGraph, vertex: str) -> BoundaryGraph:
             if e.a in mults and e.b in mults:
                 es[i] = Edge._make((e.a, e.b, e.multiplicity + pair_gain.pop((e.a, e.b))))
         for (a, b), m in pair_gain.items():
-            insort(es, Edge(a, b, m))
+            insort(es, Edge._make((a, b, m)))
     return _store(vs, es, g.marked_points, g.picard_rank - 1)
 
 

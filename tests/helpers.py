@@ -17,6 +17,8 @@ from itertools import combinations
 from math import gcd
 
 from cypair import boundary_graph as bg
+from cypair import fiber_criteria as fc
+from cypair import gdp_atlas as ga
 from cypair import lattice_fan as lf
 
 COEFFS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -241,3 +243,28 @@ def gram_matrix(g: bg.BoundaryGraph, ids) -> list[list]:
     """The intersection matrix of the curves ``ids`` of ``g``, in that
     order, read entry by entry through ``vertex`` and ``intersection``."""
     return [[g.vertex(a).self_int if a == b else g.intersection(a, b) for b in ids] for a in ids]
+
+
+def spec_of(g: bg.BoundaryGraph) -> fc.FiberSpec:
+    """The fiber spec read off a coefficient-one graph: the curves' squares
+    as its components, each irreducible over the base; a node when some
+    edge or self-node exists; the boundary's square (every multiplicity 1)
+    as the volume; and the number of curves as the rank."""
+    return fc.FiberSpec.build(
+        [(v.self_int, True) for v in g.vertices],
+        bool(g.edges) or any(v.nodes for v in g.vertices),
+        bg.divisor_square(g, dict.fromkeys(g.ids(), 1)),
+        len(g.vertices),
+    )
+
+
+def resolved_boundary(spec: ga.PairSpec) -> bg.BoundaryGraph:
+    """The boundary of a nodal pair spec on its minimal resolution, with
+    coefficient one.  The boundary is anticanonical, so its square is the
+    volume v.  A node in the smooth locus is one nodal curve of square v;
+    a node at an A_n point is the cycle of the strict transform, of square
+    v - 2, and the chain E1..En of (-2)-curves."""
+    v = ga.volume_of(spec.singularities)
+    if isinstance(spec.boundary, ga.NodalAtA):
+        return bg.resolve_An_at_node(v, spec.boundary.n)
+    return bg.BoundaryGraph.build([("B", v, 1, 1)], rho=1)

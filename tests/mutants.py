@@ -162,7 +162,7 @@ MUTANTS = [
         "_store(sorted(vs), es,",
         ["tests/test_boundary_graph.py::test_store_sorts_as_the_keyed_sort"],
     ),
-    # -- surgery builds re-derived values unchecked, new values checked
+    # -- surgery builds every value with _make, new values too
     (
         "the corner blow-up keeps an endpoint's self-intersection",
         BG,
@@ -197,6 +197,27 @@ MUTANTS = [
         "    if new_id in g.ids():",
         "    if False:",
         [f"{SURGERY}::test_double_faults_keep_their_precedence"],
+    ),
+    (
+        "the new curve keeps an integral Fraction coefficient",
+        BG,
+        "    coeff = coeff.numerator if coeff.denominator == 1 else coeff\n",
+        "",
+        ["tests/test_boundary_graph.py::TestFastPathsMatchReference::test_graph_fixtures"],
+    ),
+    (
+        "a blow-up's new edge keeps the new curve as its first end",
+        BG,
+        "Edge._make((eid, other, m) if eid < other else (other, eid, m))",
+        "Edge._make((eid, other, m))",
+        [f"{CORNER}::test_node_case_volume_five"],
+    ),
+    (
+        "the corner blow-up counts marked points only on a graph without any",
+        BG,
+        "        if g.marked_points and m <= sum(",
+        "        if not g.marked_points and m <= sum(",
+        [f"{CORNER}::test_marked_points_shield_their_crossings"],
     ),
     (
         "the search takes the scale as 1",
@@ -439,15 +460,15 @@ MUTANTS = [
     (
         "a blow-up appends the new curve",
         BG,
-        "    insort(vs, CurveVertex(eid, -1, coeff))",
-        "    vs.append(CurveVertex(eid, -1, coeff))",
+        "    insort(vs, CurveVertex._make((eid, -1, coeff, 0)))",
+        "    vs.append(CurveVertex._make((eid, -1, coeff, 0)))",
         [ORDER, APPLY_BYTES],
     ),
     (
         "a blow-up appends its new edges",
         BG,
-        "        insort(es, e)",
-        "        es.append(e)",
+        "        insort(es, Edge._make((eid, other, m) if eid < other else (other, eid, m)))",
+        "        es.append(Edge._make((eid, other, m) if eid < other else (other, eid, m)))",
         [ORDER, APPLY_BYTES],
     ),
     (
@@ -466,8 +487,8 @@ MUTANTS = [
     (
         "the blow-down appends its new pair edges",
         BG,
-        "            insort(es, Edge(a, b, m))",
-        "            es.append(Edge(a, b, m))",
+        "            insort(es, Edge._make((a, b, m)))",
+        "            es.append(Edge._make((a, b, m)))",
         [ORDER],
     ),
     # -- crepancy as the contracted curve's own residual
@@ -492,7 +513,7 @@ MUTANTS = [
         BG,
         "        return (v.self_int, v.nodes)\n",
         "        return (v.self_int, v.nodes, v.coeff)\n",
-        ["tests/test_boundary_graph.py::TestIsomorphism::test_coefficients_optional"],
+        ["tests/test_boundary_graph.py::TestIsomorphism::test_coefficients_are_ignored"],
     ),
     # -- two-component feasibility decided in integers
     (
@@ -593,6 +614,14 @@ EQUIVALENT = [
         "for i in range(n)) != 1:",
         "for i in range(n)) > 1:",
         "distinct rays have distinct angles, so a cyclic list of them has at least one descent",
+    ),
+    (
+        "the corner blow-up counts marked points on a graph without any",
+        BG,
+        "        if g.marked_points and m <= sum(",
+        "        if m <= sum(",
+        "with no marked point the sum is 0 and every edge has m >= 1 points, so the "
+        "comparison is false anyway; the guard only skips the count",
     ),
     (
         "the contraction rebuilds every survivor",

@@ -424,7 +424,7 @@ class TestIsomorphism:
         g2 = build([("A", 0, 1), ("B", 0, 1)], [("A", "B", 2)])
         assert not bg.weighted_isomorphic(g1, g2)
 
-    def test_coefficients_optional(self):
+    def test_coefficients_are_ignored(self):
         g1 = build([("A", 0, 1), ("B", 0, 1)], [("A", "B")])
         g2 = build([("A", 0, 0), ("B", 0, 1)], [("A", "B")])
         assert bg.weighted_isomorphic(g1, g2)
@@ -993,8 +993,9 @@ def _surgeries(g: bg.BoundaryGraph, seen: set) -> list[bg.BoundaryGraph]:
 
 
 class TestSurgeryBuildsWhatTheConstructorsWould:
-    """The blow-ups and the blow-down re-derive kept curves and edges without
-    their checking constructors; the values must be the constructors' own."""
+    """The blow-ups and the blow-down build every curve and edge they
+    re-derive or add without its checking constructor; the values must be
+    the constructors' own."""
 
     def test_graph_fixtures(self):
         seen = set()

@@ -5,13 +5,20 @@ from math import lcm
 
 import pytest
 import reference_witness
-from helpers import gram_matrix, random_coefficient_one_graph, random_witness_fiber
+from helpers import (
+    gram_matrix,
+    random_coefficient_one_graph,
+    random_witness_fiber,
+    resolved_boundary,
+    spec_of,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cypair import boundary_graph as bg
 from cypair import fiber_criteria as fc
 from cypair import fixtures
+from cypair import gdp_atlas as ga
 
 
 BALANCE = "witness search needs a Calabi-Yau balanced graph"
@@ -829,6 +836,57 @@ class TestCriteriaMatchReference:
         assert errors == {fc.WrongRank, fc.BoundaryMeetsSingularities}
         failed = {o.failed_conditions for o in outcomes if isinstance(o, fc.Verdict)}
         assert failed == {(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}
+
+
+class TestThreeDecidersAgree:
+    """The fiber criteria, ``decide_pair``'s nodal cases and the witness
+    search (depth 2) give one answer on the same boundary, at caps 2 and 3.
+    The criteria and ``decide_pair`` read no graph, so they check the
+    search, and the surgery it runs, from outside."""
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_fiber_criteria(self, cap):
+        # a nodal curve of square s, and two curves meeting twice with
+        # squares a >= b and a positive volume a + b + 4
+        graphs = [bg.BoundaryGraph.build([("B", s, 1, 1)], rho=1) for s in range(1, 15)]
+        graphs += [
+            bg.BoundaryGraph.build([("B", a, 1), ("C", b, 1)], [("B", "C", 2)], rho=2)
+            for a in range(-6, 8) for b in range(-6, a + 1) if a + b + 4 > 0
+        ]
+        verdicts = []
+        for g in graphs:
+            f = spec_of(g)
+            check = fc.check_pic1 if f.rel_picard_rank == 1 else fc.check_pic2
+            w = fc.prop51_witness_search(g, 2, cap)
+            assert check(f).cluster_type == (w is not None), g
+            if w is not None:
+                fc.check_witness(g, w, cap)
+            verdicts.append((f.rel_picard_rank, w is not None))
+        assert len(graphs) == 94
+        assert set(verdicts) == {(1, True), (1, False), (2, True), (2, False)}
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_nodal_pair_cases(self, cap):
+        # the other singular points are A1s off the boundary, as many as
+        # bring the volume to v
+        a1 = ga.SingularityLabel("A", 1)
+        specs = [ga.PairSpec.build((a1,) * (9 - v), ga.NodalSmoothLocus()) for v in range(1, 10)]
+        specs += [
+            ga.PairSpec.build((ga.SingularityLabel("A", n),) + (a1,) * (9 - v - n), ga.NodalAtA(n))
+            for n in range(1, 9) for v in range(1, 10 - n)
+        ]
+        cases = set()
+        for spec in specs:
+            g = resolved_boundary(spec)
+            verdict = ga.decide_pair(spec)
+            w = fc.prop51_witness_search(g, 2, cap)
+            assert verdict.cluster_type == (w is not None), spec
+            if w is not None:
+                fc.check_witness(g, w, cap)
+            cases.add((verdict.case, verdict.cluster_type))
+        assert len(specs) == 45
+        assert cases == {(2, True), (2, False), (3, True), (4, True), (4, False),
+                         (5, True), (5, False)}
 
 
 def _negative_definite_by_fractions(a) -> bool:
